@@ -3,7 +3,8 @@
 Three interchangeable representations of the same generator:
 
 - :mod:`lindbladmv.vectorized` -- column-stack states and assemble the dense
-  superoperator matrix from Kronecker products;
+  superoperator matrix from Kronecker products, or propagate them through
+  the matrix-free :class:`LiouvilleOperator`;
 - :mod:`lindbladmv.arnoldi` -- Krylov reduction in Liouville space using only
   matrix-matrix applications of the generator;
 - :mod:`lindbladmv.heisenberg` -- the adjoint picture on a closed operator
@@ -34,6 +35,7 @@ from .arnoldi import (
     ritz_values,
 )
 from .errors import (
+    ComputedStateError,
     ConvergenceError,
     DefectiveSpectrumError,
     DependentBasisError,
@@ -65,6 +67,7 @@ from .linalg import (
 from .model import (
     DensityMatrix,
     LindbladModel,
+    LiouvilleOperator,
     apply_adjoint,
     apply_generator,
     duality_check,
@@ -85,6 +88,7 @@ from .vectorized import (
 __all__ = [
     "AdjointRep",
     "BenchRecord",
+    "ComputedStateError",
     "ConvergenceError",
     "DefectiveSpectrumError",
     "DegeneracyReport",
@@ -97,6 +101,7 @@ __all__ = [
     "KrylovReduction",
     "LindbladModel",
     "LindbladMVError",
+    "LiouvilleOperator",
     "ModeDecomposition",
     "ModelFormatError",
     "NotClosedError",

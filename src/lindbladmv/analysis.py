@@ -168,7 +168,7 @@ def _method_runner(method, model, superop, r0, rho0, t):
     if method == "full-expm":
         return lambda: expm(superop.matrix, t) @ r0
     if method == "expm-action":
-        return lambda: expm_action(superop.matrix, r0, t)
+        return lambda: expm_action(model.operator, r0, t)
     if method.startswith("arnoldi-"):
         try:
             k = int(method.split("-", 1)[1])

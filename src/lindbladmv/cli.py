@@ -93,9 +93,8 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
     labels = [label for label, _ in observables]
     ops = [matrix for _, matrix in observables]
     if method in ("vec", "expm-action"):
-        superop = vectorized.build_superoperator(model)
         inner = "expm" if method == "vec" else "expm_action"
-        states = vectorized.propagate(superop, rho0, times, method=inner)
+        states = vectorized.propagate(model, rho0, times, method=inner)
         rows = [
             [complex(np.trace(op @ state.matrix)) for op in ops] for state in states
         ]

@@ -13,6 +13,10 @@ class ValidationError(LindbladMVError):
     """Invalid input data: shapes, invariants, or file contents."""
 
 
+def _describe_violations(violations) -> str:
+    return "; ".join(f"{name}: {value:.3e} exceeds {bound:.3e}" for name, value, bound in violations)
+
+
 class StateValidationError(ValidationError):
     """A matrix failed the density-matrix invariants.
 
@@ -22,10 +26,7 @@ class StateValidationError(ValidationError):
 
     def __init__(self, violations):
         self.violations = list(violations)
-        detail = "; ".join(
-            f"{name}: {value:.3e} exceeds {bound:.3e}" for name, value, bound in self.violations
-        )
-        super().__init__(f"not a valid density matrix ({detail})")
+        super().__init__(f"not a valid density matrix ({_describe_violations(self.violations)})")
 
 
 class ModelFormatError(ValidationError):
@@ -38,6 +39,22 @@ class DependentBasisError(ValidationError):
 
 class NumericalError(LindbladMVError):
     """A numerical procedure failed to produce a trustworthy result."""
+
+
+class ComputedStateError(NumericalError):
+    """A state computed from a valid input failed the density-matrix invariants.
+
+    ``violations`` has the form of :attr:`StateValidationError.violations`;
+    ``time`` is the propagation time of the failed state.
+    """
+
+    def __init__(self, violations, time):
+        self.violations = list(violations)
+        self.time = time
+        super().__init__(
+            f"state computed at t={time!r} is not a valid density matrix "
+            f"({_describe_violations(self.violations)})"
+        )
 
 
 class ExpOverflowError(NumericalError):

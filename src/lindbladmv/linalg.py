@@ -93,21 +93,33 @@ def expm_action(
 ) -> np.ndarray:
     """Compute ``exp(m * t) @ v`` without forming the full exponential.
 
+    ``m`` is a square matrix or a matrix-free linear operator: any object
+    with a ``shape`` of ``(N, N)`` and a ``matvec(x)`` method returning the
+    product with a length-``N`` vector, such as
+    :class:`lindbladmv.model.LiouvilleOperator`.  An operator is trusted as
+    given; a matrix is validated.
+
     An Arnoldi approximation of dimension at most ``krylov_dim`` is built
     from matrix-vector products with ``m`` and the time interval is split
     adaptively until the per-step residual estimate is below ``tol``
     relative to the current vector norm.  Cost is dominated by the
-    matrix-vector products.
+    matrix-vector products; each new Krylov vector is orthogonalized
+    against the whole basis with two projection passes (classical
+    Gram-Schmidt with one re-orthogonalization).
 
     Raises :class:`ConvergenceError` when the step control cannot reach the
     requested tolerance within ``max_steps`` substeps.
     """
-    m = as_square(m, "m")
+    if hasattr(m, "matvec"):
+        apply, shape, is_zero = m.matvec, tuple(m.shape), False
+    else:
+        m = as_square(m, "m")
+        apply, shape, is_zero = m.dot, m.shape, not m.any()
     v = as_vector(v, "v")
-    n = m.shape[0]
+    n = shape[0]
     if v.shape[0] != n:
-        raise ValidationError(f"dimension mismatch: matrix {m.shape}, vector {v.shape}")
-    if t == 0.0 or not m.any():
+        raise ValidationError(f"dimension mismatch: operator {shape}, vector {v.shape}")
+    if t == 0.0 or is_zero:
         return v.copy()
 
     dim = min(krylov_dim, n)
@@ -120,30 +132,27 @@ def expm_action(
         beta = np.linalg.norm(w)
         if beta == 0.0:
             return w
-        basis = np.empty((n, dim + 1), dtype=complex)
+        basis = np.empty((dim + 1, n), dtype=complex)  # row j is Krylov vector j
         hess = np.zeros((dim + 1, dim), dtype=complex)
-        basis[:, 0] = w / beta
+        basis[0] = w / beta
         k = dim
         invariant = False
         for j in range(dim):
-            u = m @ basis[:, j]
+            u = apply(basis[j])
             scale_j = np.linalg.norm(u)
-            for i in range(j + 1):
-                c = np.vdot(basis[:, i], u)
-                u -= c * basis[:, i]
-                hess[i, j] += c
-            # one re-orthogonalization pass keeps the basis orthonormal
-            for i in range(j + 1):
-                c = np.vdot(basis[:, i], u)
-                u -= c * basis[:, i]
-                hess[i, j] += c
+            block = basis[: j + 1]
+            # the second pass keeps the basis orthonormal
+            for _pass in range(2):
+                c = (block @ u.conj()).conj()
+                u -= c @ block
+                hess[: j + 1, j] += c
             h_next = np.linalg.norm(u)
             hess[j + 1, j] = h_next
             if h_next <= 1e-14 * max(scale_j, 1e-300):
                 k = j + 1
                 invariant = True
                 break
-            basis[:, j + 1] = u / h_next
+            basis[j + 1] = u / h_next
         tau = remaining if invariant or abs(step_guess) >= abs(remaining) else step_guess
         for _halving in range(80):
             phi = scipy.linalg.expm(tau * hess[:k, :k])[:, 0]
@@ -156,7 +165,7 @@ def expm_action(
             tau *= 0.5
         else:
             raise ConvergenceError("expm_action step control stalled", residual=err / beta)
-        w = basis[:, :k] @ (beta * phi)
+        w = (beta * phi) @ basis[:k]
         remaining -= tau
         step_guess = 2.0 * tau  # let accepted steps grow back
     raise ConvergenceError(

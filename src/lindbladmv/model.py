@@ -1,13 +1,15 @@
 """Physical model layer: Hamiltonian, jump operators, density matrices.
 
 The generator and its adjoint are applied directly as matrix-matrix
-operations (no superoperator matrix is formed here); the vectorized
-representation lives in :mod:`lindbladmv.vectorized`.
+operations (no superoperator matrix is formed here) through one
+:class:`LiouvilleOperator` per model; the dense vectorized representation
+lives in :mod:`lindbladmv.vectorized`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +61,61 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @cached_property
+    def operator(self) -> "LiouvilleOperator":
+        """The model's matrix-free generator, built on first use and kept."""
+        return LiouvilleOperator(self)
+
+
+class LiouvilleOperator:
+    """The generator as a matrix-free linear operator on column-stacked states.
+
+    With ``L_k = sqrt(g_k) A_k`` and ``H_eff = H - (i/2) sum_k L_k^dag L_k``
+    (both precomputed), the generator is
+    ``L rho = -i(H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag`` and its
+    adjoint ``L^dag X = i(H_eff^dag X - X H_eff) + sum_k L_k^dag X L_k``:
+    ``2 + 2K`` matrix products per application.  :meth:`matvec` acts on
+    ``vec(rho)`` (``order="F"``) like the ``n^2 x n^2`` superoperator matrix,
+    whose ``n^4`` entries are never formed.  No method validates its input;
+    callers check shapes at the API boundary.
+    """
+
+    def __init__(self, model: LindbladModel):
+        n = model.dim
+        self.dim = n
+        self.shape = (n * n, n * n)
+        jumps = []
+        h_eff = model.hamiltonian
+        for rate, op in model.jumps:
+            if rate == 0.0:
+                continue
+            scaled = np.sqrt(rate) * op
+            scaled_dag = np.ascontiguousarray(scaled.conj().T)
+            h_eff = h_eff - 0.5j * (scaled_dag @ scaled)
+            jumps.append((scaled, scaled_dag))
+        self.h_eff = h_eff
+        self.h_eff_dag = np.ascontiguousarray(h_eff.conj().T)
+        self.jumps = tuple(jumps)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The generator on an ``n x n`` matrix."""
+        out = -1j * (self.h_eff @ rho - rho @ self.h_eff_dag)
+        for scaled, scaled_dag in self.jumps:
+            out += scaled @ rho @ scaled_dag
+        return out
+
+    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint (Heisenberg-picture) generator on an ``n x n`` matrix."""
+        out = 1j * (self.h_eff_dag @ x - x @ self.h_eff)
+        for scaled, scaled_dag in self.jumps:
+            out += scaled_dag @ x @ scaled
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The generator on a column-stacked state of length ``n^2``."""
+        n = self.dim
+        return self.apply(v.reshape((n, n), order="F")).reshape(-1, order="F")
 
 
 @dataclass(frozen=True)
@@ -115,17 +172,9 @@ def apply_generator(model: LindbladModel, rho) -> np.ndarray:
     traceless, and Hermitian whenever ``rho`` is.
     """
     rho = _state_matrix(rho)
-    h = model.hamiltonian
-    if rho.shape != h.shape:
+    if rho.shape != model.hamiltonian.shape:
         raise ValidationError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    out = -1j * (h @ rho - rho @ h)
-    for rate, op in model.jumps:
-        if rate == 0.0:
-            continue
-        op_dag = op.conj().T
-        gram = op_dag @ op
-        out += rate * (op @ rho @ op_dag - 0.5 * (gram @ rho + rho @ gram))
-    return out
+    return model.operator.apply(rho)
 
 
 def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
@@ -135,19 +184,11 @@ def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
     fixed point.
     """
     x = as_square(observable, "observable")
-    h = model.hamiltonian
-    if x.shape != h.shape:
+    if x.shape != model.hamiltonian.shape:
         raise ValidationError(
             f"observable shape {x.shape} does not match model dim {model.dim}"
         )
-    out = 1j * (h @ x - x @ h)
-    for rate, op in model.jumps:
-        if rate == 0.0:
-            continue
-        op_dag = op.conj().T
-        gram = op_dag @ op
-        out += rate * (op_dag @ x @ op - 0.5 * (gram @ x + x @ gram))
-    return out
+    return model.operator.apply_adjoint(x)
 
 
 def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, complex]:

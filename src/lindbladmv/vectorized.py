@@ -4,6 +4,8 @@ Column-stacking convention throughout: entry ``(a, b)`` of an ``n x n``
 matrix lands at flat index ``b*n + a`` (0-based).  Left multiplication
 ``A rho`` becomes ``kron(I, A)``, right multiplication ``rho B`` becomes
 ``kron(B.T, I)``, and a sandwich ``A rho B`` becomes ``kron(B.T, A)``.
+The matrix-free propagation path applies the model's
+:class:`~lindbladmv.model.LiouvilleOperator` to the same vectors instead.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputedStateError, StateValidationError, ValidationError
 from .linalg import EigenDecomposition, as_square, as_vector, eig, expm, expm_action
-from .model import DensityMatrix, LindbladModel, _state_matrix, validate_state
+from .model import DensityMatrix, LindbladModel, validate_state
 
 COLUMN_STACKING = "column-stacking"
 
@@ -34,11 +36,16 @@ def unvec(r, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states."""
+    """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states.
+
+    ``model`` is the model the matrix was assembled from, when known; the
+    matrix-free propagation path applies its :attr:`LindbladModel.operator`.
+    """
 
     dim_hilbert: int
     matrix: np.ndarray
     convention: str = field(default=COLUMN_STACKING)
+    model: LindbladModel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_square(self.matrix, "superoperator matrix")
@@ -50,39 +57,55 @@ class Superoperator:
 
 
 def build_superoperator(model: LindbladModel) -> Superoperator:
-    """Assemble the dense matrix of the generator via Kronecker identities.
+    """Assemble the dense matrix of the generator in place.
+
+    With ``H_eff`` and the scaled jumps ``L_k`` of :attr:`LindbladModel.operator`,
+    the matrix is ``-i(kron(I, H_eff) - kron(conj(H_eff), I)) +
+    sum_k kron(conj(L_k), L_k)``; the jump terms are written through the
+    ``(n, n, n, n)`` view of the result and the ``H_eff`` terms added on the
+    diagonals of its blocks, so no ``n^2 x n^2`` temporary is made.
 
     For every matrix ``rho``, ``unvec(L @ vec(rho))`` equals
     ``apply_generator(model, rho)``; this consistency is the defining
     contract of the construction.
     """
     n = model.dim
-    identity = np.eye(n, dtype=complex)
-    h = model.hamiltonian
-    matrix = -1j * (np.kron(identity, h) - np.kron(h.T, identity))
-    for rate, op in model.jumps:
-        if rate == 0.0:
-            continue
-        gram = op.conj().T @ op
-        matrix += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * (np.kron(identity, gram) + np.kron(gram.T, identity))
-        )
-    return Superoperator(n, matrix)
+    op = model.operator
+    matrix = np.empty((n * n, n * n), dtype=complex)
+    # entry (b*n + a, d*n + c) of the matrix is blocks[b, a, d, c]
+    blocks = matrix.reshape(n, n, n, n)
+    if op.jumps:
+        scaled = np.stack([jump for jump, _ in op.jumps])
+        np.einsum("kac,kbd->badc", scaled, scaled.conj(), out=blocks)
+    else:
+        blocks.fill(0.0)
+    diag = np.arange(n)
+    blocks[diag, :, diag, :] -= 1j * op.h_eff  # kron(I, H_eff): blocks[b, :, b, :]
+    blocks[:, diag, :, diag] += 1j * op.h_eff.conj()  # kron(conj(H_eff), I)
+    return Superoperator(n, matrix, model=model)
 
 
 def propagate(
-    superop: Superoperator,
+    system: Superoperator | LindbladModel,
     rho0,
     times,
     *,
     method: str = "expm",
 ) -> list[DensityMatrix]:
-    """Evolve ``rho0`` to each requested time through the matrix exponential.
+    """Evolve the state ``rho0`` to each requested time.
 
-    ``method`` selects the dense exponential (``"expm"``) or the
-    matrix-free action (``"expm_action"``).  Times must be non-negative and
-    ascending; every returned state is re-validated.
+    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`.
+    ``method="expm"`` multiplies ``vec(rho0)`` by the dense exponential of
+    the superoperator matrix at every time (assembled here when ``system``
+    is a model).  ``method="expm_action"`` never uses the dense matrix: it
+    applies the model's matrix-free :attr:`LindbladModel.operator` (the
+    superoperator's recorded model; a superoperator without one is applied
+    through its matrix) and advances each state from the previous output
+    over ``t_i - t_{i-1}``, starting from ``t = 0``.
+
+    Times must be non-negative and ascending.  An invalid ``rho0`` raises
+    :class:`StateValidationError`; a computed state that fails the
+    density-matrix invariants raises :class:`ComputedStateError`.
     """
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times):
@@ -91,19 +114,36 @@ def propagate(
         raise ValidationError("times must be ascending")
     if method not in ("expm", "expm_action"):
         raise ValidationError(f"unknown propagation method {method!r}")
-    rho0 = _state_matrix(rho0)
-    n = superop.dim_hilbert
+    if isinstance(system, LindbladModel):
+        model, superop, n = system, None, system.dim
+    else:
+        model, superop, n = system.model, system, system.dim_hilbert
+    rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
     r0 = vec(rho0)
+    if method == "expm":
+        matrix = (superop if superop is not None else build_superoperator(model)).matrix
+        vectors = (expm(matrix, t) @ r0 for t in times)
+    else:
+        generator = model.operator if model is not None else superop.matrix
+        vectors = _steps(generator, r0, times)
     out = []
-    for t in times:
-        if method == "expm":
-            rt = expm(superop.matrix, t) @ r0
-        else:
-            rt = expm_action(superop.matrix, r0, t)
-        out.append(validate_state(unvec(rt, n)))
+    for t, rt in zip(times, vectors):
+        try:
+            out.append(validate_state(unvec(rt, n)))
+        except StateValidationError as exc:
+            raise ComputedStateError(exc.violations, t) from exc
     return out
+
+
+def _steps(generator, r, times):
+    """Yield ``exp(generator * t) r`` for ascending ``times``, one interval at a time."""
+    previous = 0.0
+    for t in times:
+        r = expm_action(generator, r, t - previous)
+        previous = t
+        yield r
 
 
 def spectrum(superop: Superoperator) -> EigenDecomposition:

@@ -1,8 +1,17 @@
+import csv
+import dataclasses
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lindbladmv.errors import ValidationError
+from lindbladmv.cli import main
+from lindbladmv.errors import NumericalError, StateValidationError, ValidationError
 from lindbladmv.model import LindbladModel, apply_generator, random_density, random_model
+from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import EXCITED, GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import (
     build_superoperator,
@@ -66,8 +75,10 @@ class TestBuildSuperoperator:
             rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             direct = apply_generator(model, rho)
             via_matrix = unvec(superop.matrix @ vec(rho), n)
+            via_operator = unvec(model.operator.matvec(vec(rho)), n)
             scale = max(np.linalg.norm(direct), 1.0)
             assert np.linalg.norm(via_matrix - direct) <= 1e-12 * scale
+            assert np.linalg.norm(via_operator - direct) <= 1e-12 * scale
 
     def test_tls_golden_matrix(self):
         delta, eps, gamma = 0.8, 1.1, 0.6
@@ -105,6 +116,16 @@ class TestBuildSuperoperator:
     def test_convention_tag(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))
         assert superop.convention == "column-stacking"
+
+    def test_assembly_allocates_no_matrix_sized_temporary(self):
+        model = random_model(np.random.default_rng(0), 32, n_jumps=2)
+        tracemalloc.start()
+        try:
+            superop = build_superoperator(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * superop.matrix.nbytes
 
 
 class TestPropagate:
@@ -147,11 +168,62 @@ class TestPropagate:
         model = random_model(rng, 3)
         superop = build_superoperator(model)
         rho0 = random_density(rng, 3)
-        times = [0.3, 0.9]
+        times = [0.3, 0.9, 0.9, 1.4, 4.0]
         dense = propagate(superop, rho0, times, method="expm")
-        action = propagate(superop, rho0, times, method="expm_action")
+        for system in (superop, model):
+            action = propagate(system, rho0, times, method="expm_action")
+            assert len(action) == len(times)
+            for a, b in zip(dense, action):
+                assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
+
+    @pytest.mark.parametrize("seed, n", [(7, 32), (1, 24)])
+    def test_long_horizon_action_keeps_unit_trace(self, tmp_path, capsys, seed, n):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=2)
+        rho0 = random_density(rng, n)
+        (_, state) = propagate(build_superoperator(model), rho0, [0.0, 100.0], method="expm_action")
+        assert abs(np.trace(state.matrix) - 1.0) <= 1e-12
+
+        paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+        save_model(paths[0], model)
+        save_state(paths[1], rho0.matrix)
+        save_observables(paths[2], [("I", np.eye(n))])
+        argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
+                str(paths[2]), "--t1", "100", "--steps", "2", "--method", "expm-action"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(rows[-1]["I_re"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_invalid_computed_state_is_a_numerical_error(self, rng):
+        superop = build_superoperator(random_model(rng, 2))
+        rho0 = random_density(rng, 2)
+        broken = dataclasses.replace(superop, matrix=superop.matrix + 0.1 * np.eye(4))
+        with pytest.raises(NumericalError) as excinfo:
+            propagate(broken, rho0, [0.0, 1.0], method="expm")
+        assert not isinstance(excinfo.value, ValidationError)
+        assert excinfo.value.violations[0][0] == "trace"
+        with pytest.raises(StateValidationError):
+            propagate(superop, 2.0 * rho0.matrix, [1.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        n_jumps=st.integers(0, 2),
+        times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4).map(sorted),
+    )
+    def test_action_matches_dense_and_stays_physical(self, seed, n, n_jumps, times):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=n_jumps)
+        rho0 = random_density(rng, n)
+        dense = propagate(model, rho0, times, method="expm")
+        action = propagate(model, rho0, times, method="expm_action")
         for a, b in zip(dense, action):
-            assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
+            rho = b.matrix
+            assert np.linalg.norm(rho - a.matrix) <= 1e-9
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert np.linalg.norm(rho - rho.conj().T) <= 1e-12
+            assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -1e-10
 
     def test_rejects_bad_times(self, rng):
         superop = build_superoperator(random_model(rng, 2))
