@@ -38,14 +38,17 @@ def unvec(r, dim: int) -> np.ndarray:
 class Superoperator:
     """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states.
 
-    ``model`` is the model the matrix was assembled from, when known; the
-    matrix-free propagation path applies its :attr:`LindbladModel.operator`.
+    ``model`` is set only by :func:`build_superoperator`, to the model the
+    matrix was assembled from; the matrix-free propagation path applies its
+    :attr:`LindbladModel.operator`.  It is not a constructor argument and
+    ``dataclasses.replace`` does not carry it over, so a hand-built or
+    replaced superoperator has no model and is applied through its matrix.
     """
 
     dim_hilbert: int
     matrix: np.ndarray
     convention: str = field(default=COLUMN_STACKING)
-    model: LindbladModel | None = field(default=None, repr=False, compare=False)
+    model: LindbladModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_square(self.matrix, "superoperator matrix")
@@ -82,7 +85,9 @@ def build_superoperator(model: LindbladModel) -> Superoperator:
     diag = np.arange(n)
     blocks[diag, :, diag, :] -= 1j * op.h_eff  # kron(I, H_eff): blocks[b, :, b, :]
     blocks[:, diag, :, diag] += 1j * op.h_eff.conj()  # kron(conj(H_eff), I)
-    return Superoperator(n, matrix, model=model)
+    superop = Superoperator(n, matrix)
+    object.__setattr__(superop, "model", model)
+    return superop
 
 
 def propagate(
@@ -99,9 +104,9 @@ def propagate(
     the superoperator matrix at every time (assembled here when ``system``
     is a model).  ``method="expm_action"`` never uses the dense matrix: it
     applies the model's matrix-free :attr:`LindbladModel.operator` (the
-    superoperator's recorded model; a superoperator without one is applied
-    through its matrix) and advances each state from the previous output
-    over ``t_i - t_{i-1}``, starting from ``t = 0``.
+    model recorded by :func:`build_superoperator`; any other superoperator
+    is applied through its matrix) and advances each state from the
+    previous output over ``t_i - t_{i-1}``, starting from ``t = 0``.
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the

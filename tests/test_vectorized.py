@@ -198,10 +198,12 @@ class TestPropagate:
         superop = build_superoperator(random_model(rng, 2))
         rho0 = random_density(rng, 2)
         broken = dataclasses.replace(superop, matrix=superop.matrix + 0.1 * np.eye(4))
-        with pytest.raises(NumericalError) as excinfo:
-            propagate(broken, rho0, [0.0, 1.0], method="expm")
-        assert not isinstance(excinfo.value, ValidationError)
-        assert excinfo.value.violations[0][0] == "trace"
+        assert broken.model is None
+        for method in ("expm", "expm_action"):
+            with pytest.raises(NumericalError) as excinfo:
+                propagate(broken, rho0, [0.0, 1.0], method=method)
+            assert not isinstance(excinfo.value, ValidationError)
+            assert excinfo.value.violations[0][0] == "trace"
         with pytest.raises(StateValidationError):
             propagate(superop, 2.0 * rho0.matrix, [1.0])
 
