@@ -3,8 +3,8 @@
 Three interchangeable representations of the same generator:
 
 - :mod:`lindbladmv.vectorized` -- column-stack states and assemble the dense
-  superoperator matrix from Kronecker products, or propagate them through
-  the matrix-free :class:`LiouvilleOperator`;
+  superoperator matrix in place, or propagate them through the matrix-free
+  :class:`LiouvilleOperator`;
 - :mod:`lindbladmv.arnoldi` -- Krylov reduction in Liouville space using only
   matrix-matrix applications of the generator;
 - :mod:`lindbladmv.heisenberg` -- the adjoint picture on a closed operator
@@ -63,6 +63,7 @@ from .linalg import (
     hs_inner,
     hs_norm,
     kron,
+    propagate_linear,
 )
 from .model import (
     DensityMatrix,
@@ -132,6 +133,7 @@ __all__ = [
     "project",
     "propagate",
     "propagate_expectations",
+    "propagate_linear",
     "propagate_reduced",
     "random_density",
     "random_model",

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, eig, expm, hs_inner, hs_norm
-from .model import LindbladModel, _state_matrix, apply_generator
+from .linalg import EigenDecomposition, eig, hs_inner, hs_norm, orthogonalize, propagate_linear
+from .model import LindbladModel, _state_matrix
 
 #: Residual norm below this fraction of the first application's norm is a
 #: happy breakdown: the span found is exactly invariant.
 BREAKDOWN_RTOL = 1e-12
-#: Loss of orthogonality beyond this triggers one Gram-Schmidt refinement pass.
-REORTH_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,9 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     Builds at most ``krylov_dim + 1`` basis matrices.  ``krylov_dim`` is
     capped at ``n^2 - 1`` (the full Liouville dimension); the reduction
     stops early on happy breakdown and truncates the Hessenberg matrix to
-    the invariant subspace found.
+    the invariant subspace found.  The basis is kept as one stack, each new
+    matrix orthogonalized against all earlier ones at once by
+    :func:`~lindbladmv.linalg.orthogonalize`.
     """
     if krylov_dim < 0:
         raise ValidationError(f"krylov_dim must be >= 0, got {krylov_dim}")
@@ -67,34 +67,28 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
 
-    basis = [rho0 / norm0]
+    apply = model.operator.apply
+    basis = np.empty((krylov_dim + 1, n, n), dtype=complex)
+    flat = basis.reshape(krylov_dim + 1, n * n)  # row j is matrix j, read row-major
+    basis[0] = rho0 / norm0
     hess = np.zeros((krylov_dim + 1, krylov_dim + 1), dtype=complex)
-    scale = None
+    size = krylov_dim + 1
     breakdown_at = None
     for j in range(krylov_dim + 1):
-        w = apply_generator(model, basis[j])
-        w_norm_in = hs_norm(w)
-        if scale is None:
-            scale = w_norm_in
-        for i in range(j + 1):
-            hess[i, j] = hs_inner(basis[i], w)
-            w = w - hess[i, j] * basis[i]
-        # refinement pass against accumulated round-off
-        corrections = np.array([hs_inner(b, w) for b in basis[: j + 1]])
-        if corrections.size and np.abs(corrections).max() > REORTH_RTOL * max(w_norm_in, 1e-300):
-            for i in range(j + 1):
-                w = w - corrections[i] * basis[i]
-                hess[i, j] += corrections[i]
+        w = apply(basis[j]).reshape(-1)
+        if j == 0:
+            scale = np.linalg.norm(w)
+        hess[: j + 1, j] = orthogonalize(flat[: j + 1], w)
         if j == krylov_dim:
             break
-        residual = hs_norm(w)
+        residual = np.linalg.norm(w)
         if residual <= BREAKDOWN_RTOL * scale:
-            breakdown_at = j
-            hess = hess[: j + 1, : j + 1]
+            breakdown_at, size = j, j + 1
+            hess = hess[:size, :size]
             break
         hess[j + 1, j] = residual
-        basis.append(w / residual)
-    return KrylovReduction(tuple(basis), hess, breakdown_at, n)
+        flat[j + 1] = w / residual
+    return KrylovReduction(tuple(basis[:size]), hess, breakdown_at, n)
 
 
 def project(reduction: KrylovReduction, rho) -> np.ndarray:
@@ -103,20 +97,21 @@ def project(reduction: KrylovReduction, rho) -> np.ndarray:
     n = reduction.model_dim
     if rho.shape != (n, n):
         raise ValidationError(f"matrix shape {rho.shape} does not match model dim {n}")
-    return np.array([hs_inner(b, rho) for b in reduction.basis])
+    return hs_inner(np.asarray(reduction.basis), rho)
 
 
 def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:
-    """Linear combination of the basis matrices with the given coefficients."""
-    coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
-    if coefficients.shape[0] != reduction.size:
+    """Linear combination of the basis matrices with the given coefficients.
+
+    ``coefficients`` is one vector of length ``reduction.size``, or a
+    ``(T, size)`` array whose rows give a ``(T, n, n)`` stack of matrices.
+    """
+    coefficients = np.asarray(coefficients, dtype=complex)
+    if coefficients.ndim not in (1, 2) or coefficients.shape[-1] != reduction.size:
         raise ValidationError(
-            f"{coefficients.shape[0]} coefficients for a basis of size {reduction.size}"
+            f"coefficients of shape {coefficients.shape} for a basis of size {reduction.size}"
         )
-    out = np.zeros((reduction.model_dim, reduction.model_dim), dtype=complex)
-    for c, b in zip(coefficients, reduction.basis):
-        out += c * b
-    return out
+    return np.tensordot(coefficients, np.asarray(reduction.basis), axes=1)
 
 
 def propagate_reduced(reduction: KrylovReduction, t: float) -> np.ndarray:
@@ -125,12 +120,14 @@ def propagate_reduced(reduction: KrylovReduction, t: float) -> np.ndarray:
     The initial coefficient vector is ``e_0``: the trajectory starts from
     ``basis[0]`` (the unit-HS-norm initial state), so at ``t = 0`` the
     result is ``basis[0]`` itself.  Exact whenever the reduction spans the
-    reachable Krylov space.
+    reachable Krylov space.  For a whole time grid, step the Hessenberg
+    matrix with :func:`~lindbladmv.linalg.propagate_linear` from ``e_0``
+    and :func:`reconstruct` the rows.
     """
-    if t < 0.0:
-        raise ValidationError(f"time must be non-negative, got {t}")
-    coeff = expm(reduction.hessenberg, t)[:, 0]
-    return reconstruct(reduction, coeff)
+    e0 = np.zeros(reduction.size, dtype=complex)
+    e0[0] = 1.0
+    (coefficients,) = propagate_linear(reduction.hessenberg, e0, [t])
+    return reconstruct(reduction, coefficients)
 
 
 def ritz_values(reduction: KrylovReduction) -> EigenDecomposition:

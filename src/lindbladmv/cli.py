@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
-from .linalg import hs_norm
+from .linalg import hs_norm, propagate_linear
 from .model import validate_state
 
 EXIT_OK = 0
@@ -90,26 +90,25 @@ def cmd_spectrum(args) -> int:
 
 
 def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
+    """Observable values at every time: row ``i`` of the result belongs to ``times[i]``."""
     labels = [label for label, _ in observables]
-    ops = [matrix for _, matrix in observables]
+    ops = np.stack([matrix for _, matrix in observables])
     if method in ("vec", "expm-action"):
         inner = "expm" if method == "vec" else "expm_action"
         states = vectorized.propagate(model, rho0, times, method=inner)
-        rows = [
-            [complex(np.trace(op @ state.matrix)) for op in ops] for state in states
-        ]
+        rows = heisenberg.expectations(ops, np.stack([state.matrix for state in states]))
     elif method == "arnoldi":
         k = krylov_dim if krylov_dim is not None else model.dim**2 - 1
         reduction = arnoldi.arnoldi_reduce(model, rho0, k)
-        norm0 = hs_norm(rho0.matrix)
-        rows = []
-        for t in times:
-            state = arnoldi.propagate_reduced(reduction, t) * norm0
-            rows.append([complex(np.trace(op @ state)) for op in ops])
+        e0 = np.zeros(reduction.size, dtype=complex)
+        e0[0] = 1.0
+        coefficients = propagate_linear(reduction.hessenberg, e0, times)
+        states = arnoldi.reconstruct(reduction, coefficients) * hs_norm(rho0.matrix)
+        rows = heisenberg.expectations(ops, states)
     elif method == "heisenberg":
         rep = heisenberg.close_set(model, ops)
         initial = heisenberg.expectations(rep.basis, rho0)
-        rows = [row for row in heisenberg.propagate_expectations(rep, initial, times)]
+        rows = heisenberg.propagate_expectations(rep, initial, times)
     else:
         raise ValidationError(f"unknown propagation method {method!r}")
     return labels, rows

@@ -1,8 +1,10 @@
 """Dense complex linear algebra kernels.
 
 Kronecker products, Hilbert-Schmidt inner products, matrix exponentials
-(full and action-on-vector) and a general non-Hermitian eigensolver.  All
-functions are pure: inputs are never modified and results are fresh arrays.
+(full and action-on-vector), the time-grid stepper shared by every
+propagation path and a general non-Hermitian eigensolver.  All functions
+but :func:`orthogonalize`, which updates its vector in place, are pure:
+inputs are never modified and results are fresh arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import ConvergenceError, EigenSolverError, ExpOverflowError, Valida
 ATOL_EXACT = 1e-12
 #: Tolerance for iteratively computed quantities (eigenpairs, Krylov actions).
 TOL_ITERATIVE = 1e-9
+#: Machine epsilon of double precision, the unit of every round-off budget.
+EPS = float(np.finfo(float).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -53,18 +57,53 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(a^dag b)`` of two same-sized square matrices."""
-    a = as_square(a, "a")
-    b = as_square(b, "b")
-    if a.shape != b.shape:
+def as_square_stack(a, name: str = "matrices") -> np.ndarray:
+    """Coerce ``a`` to a square complex matrix or a ``(k, n, n)`` stack of them."""
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except ValueError as exc:  # ragged or non-numeric
+        raise ValidationError(f"{name} must be numeric matrices of one shape") from exc
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValidationError(f"{name} must be square matrices, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return arr
+
+
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product ``Tr(a^dag b)`` of same-sized square matrices.
+
+    Either argument may be a ``(k, n, n)`` stack; the result carries the
+    stack axes, ``a``'s first (``[i, j]`` is ``Tr(a[i]^dag b[j])`` for two
+    stacks).  Two single matrices give a complex scalar.
+    """
+    a = as_square_stack(a, "a")
+    b = as_square_stack(b, "b")
+    if a.shape[-1] != b.shape[-1]:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    size = a.shape[-1] ** 2
+    out = a.reshape(-1, size).conj() @ b.reshape(-1, size).T
+    out = out.reshape(a.shape[:-2] + b.shape[:-2])
+    return complex(out) if out.ndim == 0 else out
 
 
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm induced by :func:`hs_inner`."""
     return float(np.linalg.norm(as_square(a, "a")))
+
+
+def orthogonalize(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Remove from ``u``, in place, its components along the orthonormal rows of ``basis``.
+
+    Classical Gram-Schmidt over the whole ``(k, N)`` block with one
+    re-orthogonalization pass, which keeps the basis orthonormal to working
+    precision.  Returns the ``k`` inner products ``<basis[i], u>`` removed.
+    """
+    coefficients = (basis @ u.conj()).conj()
+    u -= coefficients @ basis
+    correction = (basis @ u.conj()).conj()
+    u -= correction @ basis
+    return coefficients + correction
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
@@ -104,8 +143,7 @@ def expm_action(
     adaptively until the per-step residual estimate is below ``tol``
     relative to the current vector norm.  Cost is dominated by the
     matrix-vector products; each new Krylov vector is orthogonalized
-    against the whole basis with two projection passes (classical
-    Gram-Schmidt with one re-orthogonalization).
+    against the whole basis by :func:`orthogonalize`.
 
     Raises :class:`ConvergenceError` when the step control cannot reach the
     requested tolerance within ``max_steps`` substeps.
@@ -140,12 +178,7 @@ def expm_action(
         for j in range(dim):
             u = apply(basis[j])
             scale_j = np.linalg.norm(u)
-            block = basis[: j + 1]
-            # the second pass keeps the basis orthonormal
-            for _pass in range(2):
-                c = (block @ u.conj()).conj()
-                u -= c @ block
-                hess[: j + 1, j] += c
+            hess[: j + 1, j] = orthogonalize(basis[: j + 1], u)
             h_next = np.linalg.norm(u)
             hess[j + 1, j] = h_next
             if h_next <= 1e-14 * max(scale_j, 1e-300):
@@ -172,6 +205,42 @@ def expm_action(
         f"expm_action did not cover the interval in {max_steps} substeps",
         residual=abs(remaining),
     )
+
+
+def propagate_linear(a, y0, times) -> np.ndarray:
+    """Solve ``y' = a y`` from ``y(0) = y0``: row ``i`` of the result is ``exp(a t_i) y0``.
+
+    ``times`` must be finite, non-negative and ascending.  The solution
+    steps from each time to the next: for a matrix ``a``, one ``exp(a dt)``
+    serves every run of equal steps (a uniform grid costs one exponential;
+    steps within ``8 eps t``, the rounding of the times themselves, count as
+    equal); a matrix-free operator (see :func:`expm_action`) is applied
+    through :func:`expm_action` over each step.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(times).all() or (times < 0.0).any() or (np.diff(times) < 0.0).any():
+        raise ValidationError("times must be finite, non-negative and ascending")
+    matrix_free = hasattr(a, "matvec")
+    if not matrix_free:
+        a = as_square(a, "a")
+    y = as_vector(y0, "y0")
+    if y.shape[0] != a.shape[0]:
+        raise ValidationError(f"dimension mismatch: operator {a.shape}, vector {y.shape}")
+    out = np.empty((times.shape[0], y.shape[0]), dtype=complex)
+    previous, step, propagator = 0.0, None, None
+    for i, t in enumerate(times):
+        dt = t - previous
+        if dt > 0.0 and matrix_free:
+            y = expm_action(a, y, dt)
+        elif dt > 0.0:
+            if step is None or abs(dt - step) > 8.0 * EPS * t:
+                step, propagator = dt, expm(a, dt)
+            y = propagator @ y
+        if not np.isfinite(y).all():
+            raise ExpOverflowError(f"exp(a*t) y0 overflowed at t = {t!r}")
+        out[i] = y
+        previous = t
+    return out
 
 
 @dataclass(frozen=True)

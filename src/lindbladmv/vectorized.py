@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ComputedStateError, StateValidationError, ValidationError
-from .linalg import EigenDecomposition, as_square, as_vector, eig, expm, expm_action
-from .model import DensityMatrix, LindbladModel, validate_state
+from .linalg import EPS, EigenDecomposition, as_square, as_vector, eig, propagate_linear
+from .model import TRACE_RTOL, DensityMatrix, LindbladModel, validate_state
 
 COLUMN_STACKING = "column-stacking"
 
@@ -99,24 +99,20 @@ def propagate(
 ) -> list[DensityMatrix]:
     """Evolve the state ``rho0`` to each requested time.
 
-    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`.
-    ``method="expm"`` multiplies ``vec(rho0)`` by the dense exponential of
-    the superoperator matrix at every time (assembled here when ``system``
-    is a model).  ``method="expm_action"`` never uses the dense matrix: it
-    applies the model's matrix-free :attr:`LindbladModel.operator` (the
-    model recorded by :func:`build_superoperator`; any other superoperator
-    is applied through its matrix) and advances each state from the
-    previous output over ``t_i - t_{i-1}``, starting from ``t = 0``.
+    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`;
+    both methods step through :func:`~lindbladmv.linalg.propagate_linear`.
+    ``method="expm"`` uses the dense exponential of the superoperator
+    matrix (assembled here when ``system`` is a model).
+    ``method="expm_action"`` never uses the dense matrix: it applies the
+    model's matrix-free :attr:`LindbladModel.operator` (the model recorded
+    by :func:`build_superoperator`; any other superoperator is applied
+    through its matrix).
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the
-    density-matrix invariants raises :class:`ComputedStateError`.
+    density-matrix invariants (trace to the budget at
+    :data:`~lindbladmv.model.TRACE_RTOL`) raises :class:`ComputedStateError`.
     """
-    times = [float(t) for t in times]
-    if any(t < 0.0 for t in times):
-        raise ValidationError("times must be non-negative")
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValidationError("times must be ascending")
     if method not in ("expm", "expm_action"):
         raise ValidationError(f"unknown propagation method {method!r}")
     if isinstance(system, LindbladModel):
@@ -126,29 +122,21 @@ def propagate(
     rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
-    r0 = vec(rho0)
-    if method == "expm":
-        matrix = (superop if superop is not None else build_superoperator(model)).matrix
-        vectors = (expm(matrix, t) @ r0 for t in times)
+    if method == "expm_action" and model is not None:
+        generator = model.operator
+        norm = generator.norm_bound
     else:
-        generator = model.operator if model is not None else superop.matrix
-        vectors = _steps(generator, r0, times)
+        generator = (superop if superop is not None else build_superoperator(model)).matrix
+        norm = np.linalg.norm(generator, 1)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    vectors = propagate_linear(generator, vec(rho0), times)
     out = []
     for t, rt in zip(times, vectors):
         try:
-            out.append(validate_state(unvec(rt, n)))
+            out.append(validate_state(unvec(rt, n), trace_rtol=TRACE_RTOL + EPS * norm * t))
         except StateValidationError as exc:
-            raise ComputedStateError(exc.violations, t) from exc
+            raise ComputedStateError(exc.violations, float(t)) from exc
     return out
-
-
-def _steps(generator, r, times):
-    """Yield ``exp(generator * t) r`` for ascending ``times``, one interval at a time."""
-    previous = 0.0
-    for t in times:
-        r = expm_action(generator, r, t - previous)
-        previous = t
-        yield r
 
 
 def spectrum(superop: Superoperator) -> EigenDecomposition:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindbladmv.arnoldi import (
     arnoldi_reduce,
@@ -9,10 +12,10 @@ from lindbladmv.arnoldi import (
     ritz_values,
 )
 from lindbladmv.errors import ValidationError
-from lindbladmv.linalg import hs_inner, hs_norm
+from lindbladmv.linalg import hs_inner, hs_norm, propagate_linear
 from lindbladmv.model import LindbladModel, apply_generator, random_density, random_model
 from lindbladmv.tls import GROUND, TLSParams, build_tls
-from lindbladmv.vectorized import build_superoperator, propagate, spectrum
+from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
 from conftest import ep_params, multiset_close, tls_hessenberg_golden
 
@@ -172,6 +175,29 @@ class TestPropagateReduced:
         reduction = arnoldi_reduce(model, rho0, 3)
         for t in (0.0, 1.0, 10.0):
             assert np.allclose(propagate_reduced(reduction, t), reduction.basis[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        n_jumps=st.integers(0, 2),
+        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6).map(
+            lambda ts: sorted(ts + ts[:1])
+        ),
+    )
+    def test_full_reduction_trajectory_matches_dense_exponential(self, seed, n, n_jumps, times):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=n_jumps)
+        rho0 = random_density(rng, n)
+        reduction = arnoldi_reduce(model, rho0, n * n - 1)
+        e0 = np.zeros(reduction.size, dtype=complex)
+        e0[0] = 1.0
+        coefficients = propagate_linear(reduction.hessenberg, e0, times)
+        states = reconstruct(reduction, coefficients) * hs_norm(rho0.matrix)
+        matrix = build_superoperator(model).matrix
+        for t, state in zip(times, states):
+            expected = unvec(scipy.linalg.expm(matrix * t) @ vec(rho0.matrix), n)
+            assert np.abs(state - expected).max() <= 1e-9
 
     def test_negative_time_rejected(self):
         model = build_tls(TLSParams(0.0, 1.0, 1.0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lindbladmv.cli import main
+from lindbladmv.model import random_density, random_model
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import (
     BASIS_LABELS,
@@ -210,6 +211,27 @@ def test_propagate_methods_agree(tls_files, capsys):
         columns[method] = np.array([[float(r["t"]), float(r["Sz_re"]), float(r["Sz_im"])] for r in rows])
     for method in ("expm-action", "arnoldi", "heisenberg"):
         assert np.abs(columns[method] - columns["vec"]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["vec", "arnoldi", "heisenberg"])
+def test_uniform_grid_takes_one_exponential(tmp_path, capsys, monkeypatch, method):
+    import lindbladmv.linalg as linalg
+
+    rng = np.random.default_rng(5)
+    n = 3
+    paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+    save_model(paths[0], random_model(rng, n, n_jumps=2))
+    save_state(paths[1], random_density(rng, n).matrix)
+    units = np.eye(n * n).reshape(n * n, n, n)  # closed under every adjoint generator
+    save_observables(paths[2], [(f"e{k}", unit) for k, unit in enumerate(units)])
+    calls = []
+    original = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda m, t=1.0: calls.append(t) or original(m, t))
+    argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
+            str(paths[2]), "--t0", "0", "--t1", "5", "--steps", "21", "--method", method]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert len(capsys.readouterr().out.strip().splitlines()) == 22
 
 
 def test_degeneracy_report(tmp_path, capsys):

@@ -1,6 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lindbladmv.cli import main
 from lindbladmv.errors import DependentBasisError, NotClosedError, ValidationError
 from lindbladmv.heisenberg import (
     adjoint_spectrum,
@@ -9,8 +16,9 @@ from lindbladmv.heisenberg import (
     propagate_expectations,
 )
 from lindbladmv.model import LindbladModel, random_density, random_model
+from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import EXCITED, IDENTITY, SX, SY, SZ, TLSParams, build_tls
-from lindbladmv.vectorized import build_superoperator, propagate, spectrum
+from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
 from conftest import ep_params, multiset_close, pauli_set, submultiset_close, tls_adjoint_golden
 
@@ -66,6 +74,24 @@ class TestCloseSet:
             model = random_model(rng, n, n_jumps=2)
             rep = close_set(model, matrix_units(n))
             assert rep.size == n * n
+
+    @pytest.mark.parametrize("seed, n", [(7, 16), (0, 4), (1, 3), (2, 8)])
+    def test_identity_fixed_point_closes(self, tmp_path, capsys, seed, n):
+        # L^dag(I) = 0 exactly, so its computed image is pure round-off
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=2)
+        rep = close_set(model, [np.eye(n)])
+        assert np.abs(rep.coeffs).max() <= 1e-12
+
+        paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+        save_model(paths[0], model)
+        save_state(paths[1], random_density(rng, n).matrix)
+        save_observables(paths[2], [("I", np.eye(n))])
+        argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
+                str(paths[2]), "--t1", "5", "--steps", "3", "--method", "heisenberg"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert all(float(row["I_re"]) == pytest.approx(1.0, abs=1e-12) for row in rows)
 
     def test_closure_residual_invariant(self, rng):
         from lindbladmv.model import apply_adjoint
@@ -134,6 +160,27 @@ class TestPropagateExpectations:
             for row, state in zip(heis, schro):
                 direct = np.array([np.trace(x @ state.matrix) for x in basis])
                 assert np.abs(row - direct).max() <= 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        n_jumps=st.integers(0, 2),
+        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6).map(
+            lambda ts: sorted(ts + ts[:1])
+        ),
+    )
+    def test_matrix_unit_trajectory_matches_dense_exponential(self, seed, n, n_jumps, times):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=n_jumps)
+        rho0 = random_density(rng, n)
+        basis = matrix_units(n)
+        rep = close_set(model, basis)
+        trajectory = propagate_expectations(rep, expectations(basis, rho0), times)
+        matrix = build_superoperator(model).matrix
+        for t, row in zip(times, trajectory):
+            rho = unvec(scipy.linalg.expm(matrix * t) @ vec(rho0.matrix), n)
+            assert np.abs(row - expectations(basis, rho)).max() <= 1e-9
 
     def test_hermitian_members_stay_real(self, rng):
         model = random_model(rng, 2)

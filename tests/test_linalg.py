@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from lindbladmv.errors import ConvergenceError, ExpOverflowError, ValidationError
-from lindbladmv.linalg import eig, expm, expm_action, hs_inner, hs_norm, kron
+from lindbladmv.linalg import (
+    eig,
+    expm,
+    expm_action,
+    hs_inner,
+    hs_norm,
+    kron,
+    propagate_linear,
+)
+from lindbladmv.model import random_model
 from lindbladmv.tls import IDENTITY, SX, SY, SZ
 from lindbladmv.vectorized import build_superoperator
 from lindbladmv.tls import TLSParams, build_tls
@@ -63,6 +72,28 @@ class TestHSInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             hs_inner(np.eye(2), np.eye(3))
+
+    def test_stacks_match_scalar_loop(self, rng):
+        a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        loop = np.array([[hs_inner(x, y) for y in b] for x in a])
+        assert np.allclose(hs_inner(a, b), loop, rtol=1e-14, atol=1e-14)
+        assert np.allclose(hs_inner(a, b[0]), loop[:, 0], rtol=1e-14, atol=1e-14)
+        assert np.allclose(hs_inner(a[0], b), loop[0], rtol=1e-14, atol=1e-14)
+        assert hs_inner(list(a), b).shape == (4, 5)
+        assert isinstance(hs_inner(a[0], b[0]), complex)
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ValidationError):
+            hs_inner(np.zeros((4, 2, 2)), np.eye(3))
+        with pytest.raises(ValidationError):
+            hs_inner(np.zeros((4, 2, 2)), np.zeros((4, 3, 3)))
+        with pytest.raises(ValidationError):
+            hs_inner(np.zeros((4, 2, 3)), np.eye(2))
+        with pytest.raises(ValidationError):
+            hs_inner([np.eye(2), np.eye(3)], np.eye(2))
+        with pytest.raises(ValidationError):
+            hs_inner(np.zeros((2, 2, 2, 2)), np.eye(2))
 
 
 class TestExpm:
@@ -131,6 +162,46 @@ class TestExpmAction:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             expm_action(np.eye(3), np.ones(4), 1.0)
+
+
+class TestPropagateLinear:
+    def test_matches_exponential_at_every_time(self, rng):
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 3.0 * np.eye(6)
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        times = [0.0, 0.2, 0.2, 0.7, 1.2, 1.7, 3.0]
+        out = propagate_linear(m, v, times)
+        assert out.shape == (len(times), 6)
+        for t, y in zip(times, out):
+            expected = expm(m, t) @ v
+            assert np.linalg.norm(y - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
+
+    def test_operator_steps_by_exponential_action(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        matrix = build_superoperator(model).matrix
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        times = [0.5, 0.5, 1.0, 4.0]
+        dense = propagate_linear(matrix, v, times)
+        action = propagate_linear(model.operator, v, times)
+        assert np.abs(action - dense).max() <= 1e-10 * np.linalg.norm(v)
+
+    def test_uniform_grid_costs_one_exponential(self, rng, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        calls = []
+        monkeypatch.setattr(linalg, "expm", lambda m, t=1.0: calls.append(t) or expm(m, t))
+        m = rng.normal(size=(4, 4))
+        propagate_linear(m, np.ones(4), np.linspace(0.0, 5.0, 21))
+        assert len(calls) == 1
+        calls.clear()
+        propagate_linear(m, np.ones(4), np.linspace(0.3, 5.0, 21))
+        assert len(calls) == 2  # the step to t0 and the grid step
+
+    def test_rejects_bad_times(self):
+        for times in ([-1.0], [1.0, 0.5], [0.0, np.nan], [np.inf]):
+            with pytest.raises(ValidationError):
+                propagate_linear(np.eye(2), np.ones(2), times)
+        with pytest.raises(ValidationError):
+            propagate_linear(np.eye(2), np.ones(3), [1.0])
 
 
 class TestEig:

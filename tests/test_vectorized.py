@@ -194,6 +194,24 @@ class TestPropagate:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert float(rows[-1]["I_re"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_long_horizon_dense_trace_within_round_off_budget(self, tmp_path, capsys):
+        # the dense exponential leaks trace at O(eps ||S||_1 t): 1.36e-12 here
+        rng = np.random.default_rng(7)
+        model = random_model(rng, 16, n_jumps=2)
+        rho0 = random_density(rng, 16)
+        (_, state) = propagate(model, rho0, [0.0, 46.1], method="expm")
+        assert abs(np.trace(state.matrix) - 1.0) <= 1e-11
+
+        paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+        save_model(paths[0], model)
+        save_state(paths[1], rho0.matrix)
+        save_observables(paths[2], [("I", np.eye(16))])
+        argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
+                str(paths[2]), "--t1", "46.1", "--steps", "2", "--method", "vec"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert float(rows[-1]["I_re"]) == pytest.approx(1.0, abs=1e-11)
+
     def test_invalid_computed_state_is_a_numerical_error(self, rng):
         superop = build_superoperator(random_model(rng, 2))
         rho0 = random_density(rng, 2)
