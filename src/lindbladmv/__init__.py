@@ -62,7 +62,6 @@ from .linalg import (
     expm_action,
     hs_inner,
     hs_norm,
-    kron,
     propagate_linear,
 )
 from .model import (
@@ -128,7 +127,6 @@ __all__ = [
     "fit_scaling_slopes",
     "hs_inner",
     "hs_norm",
-    "kron",
     "observable_modes",
     "project",
     "propagate",

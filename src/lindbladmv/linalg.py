@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernels.
 
-Kronecker products, Hilbert-Schmidt inner products, matrix exponentials
-(full and action-on-vector), the time-grid stepper shared by every
-propagation path and a general non-Hermitian eigensolver.  All functions
+Hilbert-Schmidt inner products, matrix exponentials (full and
+action-on-vector), the time-grid stepper shared by every propagation path
+and a general non-Hermitian eigensolver.  All functions
 but :func:`orthogonalize`, which updates its vector in place, are pure:
 inputs are never modified and results are fresh arrays.
 """
@@ -24,19 +24,13 @@ TOL_ITERATIVE = 1e-9
 EPS = float(np.finfo(float).eps)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex array with finite entries."""
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a square complex matrix with finite entries."""
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix."""
-    arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
@@ -50,11 +44,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 def as_square_stack(a, name: str = "matrices") -> np.ndarray:

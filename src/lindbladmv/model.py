@@ -39,8 +39,8 @@ class LindbladModel:
     """A Markovian open-system model: Hamiltonian plus rated jump operators.
 
     ``jumps`` is a sequence of ``(rate, operator)`` pairs; rates must be
-    non-negative and operators are arbitrary square matrices of the
-    Hamiltonian's dimension (hbar = 1 throughout, so Hamiltonian entries
+    finite and non-negative and operators are arbitrary square matrices of
+    the Hamiltonian's dimension (hbar = 1 throughout, so Hamiltonian entries
     are rates).
     """
 
@@ -57,8 +57,8 @@ class LindbladModel:
         normalized = []
         for k, (rate, op) in enumerate(self.jumps):
             rate = float(rate)
-            if rate < 0.0:
-                raise ValidationError(f"jump rate {k} is negative: {rate}")
+            if not 0.0 <= rate < np.inf:
+                raise ValidationError(f"jump rate {k} must be finite and non-negative: {rate}")
             op = as_square(op, f"jump operator {k}")
             if op.shape != h.shape:
                 raise ValidationError(
@@ -177,6 +177,19 @@ def validate_state(
     if violations:
         raise StateValidationError(violations)
     return DensityMatrix(rho)
+
+
+def valid_states(stack: np.ndarray, trace_rtol) -> np.ndarray:
+    """Mask of the matrices of a ``(T, n, n)`` stack that pass :func:`validate_state`.
+
+    ``trace_rtol`` may hold one budget per matrix; one batched ``eigvalsh`` serves them all.
+    """
+    adjoint = stack.conj().transpose(0, 2, 1)
+    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    ok = np.linalg.norm(stack - adjoint, axis=(1, 2)) <= HERMITICITY_RTOL * scale
+    ok &= np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= trace_rtol * scale
+    ok &= np.linalg.eigvalsh(0.5 * (stack + adjoint)).min(axis=1) >= POSITIVITY_FLOOR
+    return ok
 
 
 def _state_matrix(rho) -> np.ndarray:

@@ -8,6 +8,7 @@ encoding, so write -> parse reproduces the numbers bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -15,12 +16,26 @@ from .errors import ModelFormatError, ValidationError
 from .model import LindbladModel
 
 
-def _complex_to_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _matrix_to_rows(matrix) -> list:
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
-def _matrix_to_rows(matrix: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(matrix, dtype=complex)]
+def _save(path, dim: int, basis_labels, **fields) -> None:
+    labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(dim)]
+    if len(labels) != dim:
+        raise ValidationError(f"{len(labels)} basis labels for dimension {dim}")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"dim": dim, "basis_labels": labels, **fields}, handle, indent=1)
+        handle.write("\n")
+
+
+def _as_float(value) -> float:
+    """``float(value)``, with an int beyond the float range taken as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _pair_to_complex(value, where: str) -> complex:
@@ -30,41 +45,50 @@ def _pair_to_complex(value, where: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         raise ModelFormatError(f"{where}: complex scalars must be [re, im] pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_as_float(value[0]), _as_float(value[1]))
 
 
 def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ModelFormatError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ModelFormatError(f"{where}: row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _pair_to_complex(entry, f"{where}[{i}][{j}]")
+    """Parse ``dim`` rows of ``[re, im]`` pairs, with one ``np.array`` call when well formed.
+
+    Each number converts exactly as ``float()`` converts it; other input is walked entry
+    by entry to name the first bad row or entry.
+    """
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged nesting
+        pairs = np.array(None)
+    if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2):
+        out = pairs.astype(float).view(complex)[..., 0]
+    else:
+        if not isinstance(rows, list) or len(rows) != dim:
+            raise ModelFormatError(f"{where}: expected {dim} rows")
+        out = np.empty((dim, dim), dtype=complex)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != dim:
+                raise ModelFormatError(f"{where}: row {i} must have {dim} entries")
+            for j, entry in enumerate(row):
+                out[i, j] = _pair_to_complex(entry, f"{where}[{i}][{j}]")
     if not np.isfinite(out).all():
         raise ModelFormatError(f"{where}: contains non-finite entries")
     return out
 
 
-def _load_json(path) -> dict:
+def _load_json(path) -> tuple[dict, int]:
+    """The top-level object of a file and its ``dim``, after checking ``dim`` and the labels."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
-    return data
-
-
-def _dim_and_labels(data: dict, path) -> tuple[int, list]:
     if "dim" not in data:
         raise ModelFormatError(f"{path}: missing 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     labels = data.get("basis_labels")
     if labels is None:
@@ -73,29 +97,30 @@ def _dim_and_labels(data: dict, path) -> tuple[int, list]:
         isinstance(s, str) for s in labels
     ):
         raise ModelFormatError(f"{path}: 'basis_labels' must be {dim} strings")
-    return dim, labels
+    return data, dim
 
 
 def load_model(path) -> LindbladModel:
     """Parse a model file; raises :class:`ModelFormatError` naming the problem."""
-    data = _load_json(path)
-    dim, _ = _dim_and_labels(data, path)
+    data, dim = _load_json(path)
     if "hamiltonian" not in data:
         raise ModelFormatError(f"{path}: missing 'hamiltonian'")
     hamiltonian = _rows_to_matrix(data["hamiltonian"], dim, f"{path}: hamiltonian")
+    if not isinstance(data.get("jumps", []), list):
+        raise ModelFormatError(f"{path}: 'jumps' must be a list")
     jumps = []
     for k, jump in enumerate(data.get("jumps", [])):
         if not isinstance(jump, dict):
             raise ModelFormatError(f"{path}: jumps[{k}] must be an object")
         if "rate" not in jump:
             raise ModelFormatError(f"{path}: jumps[{k}] is missing 'rate'")
-        rate = jump["rate"]
-        if not isinstance(rate, (int, float)):
-            raise ModelFormatError(f"{path}: jumps[{k}].rate must be a number")
+        rate = _as_float(jump["rate"]) if isinstance(jump["rate"], (int, float)) else math.nan
+        if not math.isfinite(rate):
+            raise ModelFormatError(f"{path}: jumps[{k}].rate must be a finite number")
         if "matrix" not in jump:
             raise ModelFormatError(f"{path}: jumps[{k}] is missing 'matrix'")
         matrix = _rows_to_matrix(jump["matrix"], dim, f"{path}: jumps[{k}].matrix")
-        jumps.append((float(rate), matrix))
+        jumps.append((rate, matrix))
     try:
         return LindbladModel(hamiltonian, tuple(jumps))
     except ValidationError as exc:
@@ -104,26 +129,13 @@ def load_model(path) -> LindbladModel:
 
 def save_model(path, model: LindbladModel, basis_labels=None) -> None:
     """Write a model file that :func:`load_model` parses back identically."""
-    labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(model.dim)]
-    if len(labels) != model.dim:
-        raise ValidationError(f"{len(labels)} basis labels for dimension {model.dim}")
-    payload = {
-        "dim": model.dim,
-        "basis_labels": labels,
-        "hamiltonian": _matrix_to_rows(model.hamiltonian),
-        "jumps": [
-            {"rate": rate, "matrix": _matrix_to_rows(op)} for rate, op in model.jumps
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    jumps = [{"rate": rate, "matrix": _matrix_to_rows(op)} for rate, op in model.jumps]
+    _save(path, model.dim, basis_labels, hamiltonian=_matrix_to_rows(model.hamiltonian), jumps=jumps)
 
 
 def load_state(path) -> np.ndarray:
     """Parse a state file (single square matrix); validity checks are the caller's."""
-    data = _load_json(path)
-    dim, _ = _dim_and_labels(data, path)
+    data, dim = _load_json(path)
     if "matrix" not in data:
         raise ModelFormatError(f"{path}: missing 'matrix'")
     return _rows_to_matrix(data["matrix"], dim, f"{path}: matrix")
@@ -131,18 +143,12 @@ def load_state(path) -> np.ndarray:
 
 def save_state(path, matrix, basis_labels=None) -> None:
     matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(dim)]
-    payload = {"dim": dim, "basis_labels": labels, "matrix": _matrix_to_rows(matrix)}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    _save(path, matrix.shape[0], basis_labels, matrix=_matrix_to_rows(matrix))
 
 
 def load_observables(path) -> list[tuple[str, np.ndarray]]:
     """Parse an observables file: a list of labeled square matrices."""
-    data = _load_json(path)
-    dim, _ = _dim_and_labels(data, path)
+    data, dim = _load_json(path)
     if "observables" not in data or not isinstance(data["observables"], list):
         raise ModelFormatError(f"{path}: missing 'observables' list")
     out = []
@@ -160,15 +166,5 @@ def load_observables(path) -> list[tuple[str, np.ndarray]]:
 
 def save_observables(path, labeled_matrices, basis_labels=None) -> None:
     labeled = [(str(label), np.asarray(m, dtype=complex)) for label, m in labeled_matrices]
-    dim = labeled[0][1].shape[0]
-    labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(dim)]
-    payload = {
-        "dim": dim,
-        "basis_labels": labels,
-        "observables": [
-            {"label": label, "matrix": _matrix_to_rows(m)} for label, m in labeled
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    observables = [{"label": label, "matrix": _matrix_to_rows(m)} for label, m in labeled]
+    _save(path, labeled[0][1].shape[0], basis_labels, observables=observables)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ComputedStateError, StateValidationError, ValidationError
 from .linalg import EPS, EigenDecomposition, as_square, as_vector, eig, propagate_linear
-from .model import TRACE_RTOL, DensityMatrix, LindbladModel, validate_state
+from .model import TRACE_RTOL, DensityMatrix, LindbladModel, valid_states, validate_state
 
 COLUMN_STACKING = "column-stacking"
 
@@ -130,13 +130,14 @@ def propagate(
         norm = np.linalg.norm(generator, 1)
     times = np.asarray(times, dtype=float).reshape(-1)
     vectors = propagate_linear(generator, vec(rho0), times)
-    out = []
-    for t, rt in zip(times, vectors):
+    states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
+    budgets = TRACE_RTOL + EPS * norm * times
+    for i in np.flatnonzero(~valid_states(states, budgets)):
         try:
-            out.append(validate_state(unvec(rt, n), trace_rtol=TRACE_RTOL + EPS * norm * t))
+            validate_state(states[i], trace_rtol=budgets[i])
         except StateValidationError as exc:
-            raise ComputedStateError(exc.violations, float(t)) from exc
-    return out
+            raise ComputedStateError(exc.violations, float(times[i])) from exc
+    return [DensityMatrix(rho) for rho in states]
 
 
 def spectrum(superop: Superoperator) -> EigenDecomposition:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lindbladmv.cli import main
+from lindbladmv.cli import build_parser, main
 from lindbladmv.model import random_density, random_model
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import (
@@ -281,6 +281,37 @@ def test_bench_csv_and_slopes(tmp_path, capsys):
     assert "slope full-expm" in printed
     assert "slope expm-action" in printed
     assert "slope ordering:" in printed
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_in_one_process_do_not_share_options(tls_files, tmp_path):
+    paths, _ = tls_files
+    model, state = str(paths["model"]), str(paths["state"])
+    propagate = ["propagate", model, "--state", state, "--observables", str(paths["obs"]),
+                 "--t1", "2", "--steps", "5", "--method", "arnoldi"]
+    spectrum = ["spectrum", model, "--state", state]
+    pairs = [
+        (propagate + ["--krylov-dim", "2"], propagate),
+        (spectrum + ["--method", "arnoldi", "--krylov-dim", "2"], spectrum + ["--method", "arnoldi"]),
+        (spectrum + ["--method", "arnoldi"], spectrum),
+    ]
+
+    def run(argv):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        return out.read_text()
+
+    for first, second in pairs:
+        build_parser.cache_clear()
+        alone = run(second)
+        build_parser.cache_clear()
+        first_alone = run(first)
+        assert run(second) == alone
+        assert run(first) == first_alone
+        assert first_alone != alone
 
 
 def test_console_script_help():

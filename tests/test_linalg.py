@@ -8,7 +8,6 @@ from lindbladmv.linalg import (
     expm_action,
     hs_inner,
     hs_norm,
-    kron,
     propagate_linear,
 )
 from lindbladmv.model import random_model
@@ -20,37 +19,11 @@ from conftest import ep_params, multiset_close
 
 
 class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_placement(self):
-        a = np.array([[0, 1], [0, 0]])
-        b = np.array([[1, 0], [0, 2]])
-        out = kron(a, b)
-        expected = np.zeros((4, 4))
-        expected[0, 2] = 1
-        expected[1, 3] = 2
-        assert np.array_equal(out, expected)
-
     def test_commutator_structure(self):
         # left-minus-right multiplication by Sz acting on column-stacked
         # 2x2 matrices: the ge coherence picks up -1, the eg coherence +1
-        out = kron(IDENTITY, SZ) - kron(SZ.T, IDENTITY)
+        out = np.kron(IDENTITY, SZ) - np.kron(SZ.T, IDENTITY)
         assert np.allclose(out, np.diag([0.0, -1.0, 1.0, 0.0]), atol=1e-15)
-
-    def test_bilinearity(self, rng):
-        for n in (2, 3):
-            for _ in range(20):
-                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                lhs = kron(a + b, c)
-                rhs = kron(a, c) + kron(b, c)
-                assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            kron(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
 
 
 class TestHSInner:

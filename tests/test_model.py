@@ -31,6 +31,11 @@ class TestModelConstruction:
         with pytest.raises(ValidationError):
             LindbladModel(np.eye(2), ((-0.5, np.eye(2)),))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="jump rate 1 must be finite"):
+            LindbladModel(np.eye(2), ((1.0, np.eye(2)), (rate, np.eye(2))))
+
     def test_jump_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LindbladModel(np.eye(2), ((1.0, np.eye(3)),))

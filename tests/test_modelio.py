@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from lindbladmv.cli import main
 from lindbladmv.errors import ModelFormatError
 from lindbladmv.modelio import (
     load_model,
@@ -132,3 +135,111 @@ def test_basis_labels_length_checked(tmp_path):
     )
     with pytest.raises(ModelFormatError, match="basis_labels"):
         load_model(path)
+
+
+ZERO_2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+LOWERING_2 = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+HUGE_INT = 10**400
+
+# (model file text, field the error must name); each crashed with a traceback before
+MALFORMED_MODELS = {
+    "huge-entry": (
+        json.dumps({"dim": 2, "hamiltonian": [[[HUGE_INT, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        "hamiltonian",
+    ),
+    "huge-rate": (
+        json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": [{"rate": HUGE_INT, "matrix": LOWERING_2}]}),
+        "jumps[0].rate",
+    ),
+    "nan-rate": (
+        json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": [{"rate": float("nan"), "matrix": LOWERING_2}]}),
+        "jumps[0].rate",
+    ),
+    "bool-dim": (json.dumps({"dim": True, "hamiltonian": [[[0, 0]]]}), "'dim'"),
+    "int-jumps": (json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": 5}), "'jumps'"),
+    "long-int": ('{"dim": 1, "hamiltonian": [[[' + "1" * 5000 + ", 0]]]}", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_is_a_format_error(tmp_path, capsys, case):
+    text, field = MALFORMED_MODELS[case]
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(path)
+    assert field in str(excinfo.value)
+    assert main(["spectrum", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["vec", "expm-action", "arnoldi", "heisenberg"])
+def test_nan_rate_rejected_before_propagation(tmp_path, capsys, method):
+    model = tmp_path / "model.json"
+    model.write_text(MALFORMED_MODELS["nan-rate"][0])
+    state = tmp_path / "state.json"
+    save_state(state, GROUND)
+    obs = tmp_path / "obs.json"
+    save_observables(obs, [("Sz", SZ)])
+    argv = ["propagate", str(model), "--state", str(state), "--observables", str(obs)]
+    assert main(argv + ["--t1", "1", "--steps", "3", "--method", method]) == 2
+    assert "jumps[0].rate must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[[1, 0], [0, 0]], [[0, 0]]], "matrix: row 1 must have 2 entries"),
+        (
+            [[[1, 0], [0, 0]], [[0, 0, 0], [0, 0]]],
+            "matrix[1][0]: complex scalars must be [re, im] pairs, got [0, 0, 0]",
+        ),
+        ([[[1, 0], [0, 0]], ["x", [0, 0]]], "matrix[1][0]: complex scalars must be [re, im] pairs, got 'x'"),
+        ([[[1, 0], [0, 0]], [None, [0, 0]]], "matrix[1][0]: complex scalars must be [re, im] pairs, got None"),
+        (
+            [[[1, 0], [0, 0]], [[[0, 0], [0, 0]], [0, 0]]],
+            "matrix[1][0]: complex scalars must be [re, im] pairs, got [[0, 0], [0, 0]]",
+        ),
+        (
+            [[[[0, 0], [0, 0]]] * 2] * 2,
+            "matrix[0][0]: complex scalars must be [re, im] pairs, got [[0, 0], [0, 0]]",
+        ),
+        ([[[1, 0], [0, 0]], [[float("nan"), 0], [0, 0]]], "matrix: contains non-finite entries"),
+    ],
+)
+def test_malformed_matrix_messages(tmp_path, matrix, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 2, "matrix": matrix}))
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_state(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+_INTS = st.integers(-(2**70), 2**70)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]),
+)
+_ENTRIES = st.sampled_from(
+    [_INTS, _FLOATS, st.booleans(), st.one_of(_INTS, _FLOATS, st.booleans())]
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_matrix_parse_is_bit_exact(tmp_path, data):
+    dim = data.draw(st.integers(1, 6))
+    number = data.draw(_ENTRIES)
+    pair = st.lists(number, min_size=2, max_size=2)
+    rows = data.draw(st.lists(st.lists(pair, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": dim, "matrix": rows}))
+    parsed = load_state(path)
+    reference = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, (re, im) in enumerate(row):
+            reference[i, j] = complex(float(re), float(im))
+    assert parsed.shape == (dim, dim)
+    assert parsed.dtype == complex
+    # compare bit patterns, so the sign of a zero counts
+    assert np.array_equal(np.ascontiguousarray(parsed).view(np.uint64), reference.view(np.uint64))

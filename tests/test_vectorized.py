@@ -9,8 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindbladmv.cli import main
-from lindbladmv.errors import NumericalError, StateValidationError, ValidationError
-from lindbladmv.model import LindbladModel, apply_generator, random_density, random_model
+from lindbladmv.errors import (
+    ComputedStateError,
+    NumericalError,
+    StateValidationError,
+    ValidationError,
+)
+from lindbladmv.linalg import EPS, propagate_linear
+from lindbladmv.model import (
+    TRACE_RTOL,
+    LindbladModel,
+    apply_generator,
+    random_density,
+    random_model,
+    validate_state,
+)
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import EXCITED, GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import (
@@ -224,6 +237,19 @@ class TestPropagate:
             assert excinfo.value.violations[0][0] == "trace"
         with pytest.raises(StateValidationError):
             propagate(superop, 2.0 * rho0.matrix, [1.0])
+
+    def test_first_invalid_time_reported_with_its_violations(self, rng):
+        superop = build_superoperator(random_model(rng, 3))
+        rho0 = random_density(rng, 3)
+        broken = dataclasses.replace(superop, matrix=superop.matrix + 0.1 * np.eye(9))
+        with pytest.raises(ComputedStateError) as excinfo:
+            propagate(broken, rho0, [0.0, 0.5, 1.0])
+        assert excinfo.value.time == 0.5
+        state = unvec(propagate_linear(broken.matrix, vec(rho0.matrix), [0.0, 0.5])[1], 3)
+        budget = TRACE_RTOL + EPS * np.linalg.norm(broken.matrix, 1) * 0.5
+        with pytest.raises(StateValidationError) as expected:
+            validate_state(state, trace_rtol=budget)
+        assert excinfo.value.violations == expected.value.violations
 
     @settings(max_examples=40, deadline=None)
     @given(
