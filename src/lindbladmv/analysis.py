@@ -109,8 +109,8 @@ class DegeneracyReport:
 
 def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyReport:
     """Cluster the spectrum at scale ``cluster_tol`` and flag defectiveness."""
-    if cluster_tol <= 0.0:
-        raise ValidationError(f"cluster_tol must be positive, got {cluster_tol}")
+    if not (0.0 < cluster_tol < np.inf):
+        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol}")
     dec = spectrum(superop)
     values = dec.eigenvalues
     count = values.shape[0]
@@ -157,14 +157,16 @@ class BenchRecord:
     status: str = "ok"
 
 
+def _diagonal_propagate(matrix, r0, t):
+    """``exp(matrix t) r0`` from the eigendecomposition of a diagonalizable ``matrix``."""
+    values, vectors = scipy.linalg.eig(matrix)
+    return vectors @ (np.exp(values * t) * np.linalg.solve(vectors, r0))
+
+
 def _method_runner(method, model, superop, r0, rho0, t):
     n = model.dim
     if method == "full-diagonalization":
-        def run():
-            values, vectors = scipy.linalg.eig(superop.matrix)
-            comps = np.linalg.solve(vectors, r0)
-            return vectors @ (np.exp(values * t) * comps)
-        return run
+        return lambda: _diagonal_propagate(superop.matrix, r0, t)
     if method == "full-expm":
         return lambda: expm(superop.matrix, t) @ r0
     if method == "expm-action":
@@ -178,7 +180,7 @@ def _method_runner(method, model, superop, r0, rho0, t):
         norm0 = hs_norm(_state_matrix(rho0))
         def run():
             reduction = arnoldi_reduce(model, rho0, k)
-            return vec(propagate_reduced(reduction, t)) * norm0
+            return vec(propagate_reduced(reduction, [t])[0]) * norm0
         return run
     raise ValidationError(f"unknown benchmark method {method!r}")
 
@@ -215,8 +217,7 @@ def run_benchmark(
         rho0 = random_density(rng, n)
         superop = build_superoperator(model)
         r0 = vec(rho0.matrix)
-        values, vectors = scipy.linalg.eig(superop.matrix)
-        reference = unvec(vectors @ (np.exp(values * t) * np.linalg.solve(vectors, r0)), n)
+        reference = unvec(_diagonal_propagate(superop.matrix, r0, t), n)
         for method in methods:
             run = _method_runner(method, model, superop, r0, rho0, t)
             start = time.perf_counter()

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, eig, hs_inner, hs_norm, orthogonalize, propagate_linear
+from .linalg import EigenDecomposition, arnoldi_iteration, eig, hs_inner, hs_norm, propagate_linear
 from .model import LindbladModel, _state_matrix
-
-#: Residual norm below this fraction of the first application's norm is a
-#: happy breakdown: the span found is exactly invariant.
-BREAKDOWN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,11 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     """Gram-Schmidt reduction of the generator on the Krylov space of ``rho0``.
 
     Builds at most ``krylov_dim + 1`` basis matrices.  ``krylov_dim`` is
-    capped at ``n^2 - 1`` (the full Liouville dimension); the reduction
-    stops early on happy breakdown and truncates the Hessenberg matrix to
-    the invariant subspace found.  The basis is kept as one stack, each new
-    matrix orthogonalized against all earlier ones at once by
-    :func:`~lindbladmv.linalg.orthogonalize`.
+    capped at ``n^2 - 1`` (the full Liouville dimension).  The kernel
+    :func:`~lindbladmv.linalg.arnoldi_iteration` runs on row-major flattened
+    matrices, whose inner product is the Hilbert-Schmidt one; its last
+    application only fills the last Hessenberg column, so only an earlier
+    breakdown truncates the reduction to the invariant subspace found.
     """
     if krylov_dim < 0:
         raise ValidationError(f"krylov_dim must be >= 0, got {krylov_dim}")
@@ -68,27 +64,13 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
         raise ValidationError("initial state is zero")
 
     apply = model.operator.apply
-    basis = np.empty((krylov_dim + 1, n, n), dtype=complex)
-    flat = basis.reshape(krylov_dim + 1, n * n)  # row j is matrix j, read row-major
-    basis[0] = rho0 / norm0
-    hess = np.zeros((krylov_dim + 1, krylov_dim + 1), dtype=complex)
-    size = krylov_dim + 1
-    breakdown_at = None
-    for j in range(krylov_dim + 1):
-        w = apply(basis[j]).reshape(-1)
-        if j == 0:
-            scale = np.linalg.norm(w)
-        hess[: j + 1, j] = orthogonalize(flat[: j + 1], w)
-        if j == krylov_dim:
-            break
-        residual = np.linalg.norm(w)
-        if residual <= BREAKDOWN_RTOL * scale:
-            breakdown_at, size = j, j + 1
-            hess = hess[:size, :size]
-            break
-        hess[j + 1, j] = residual
-        flat[j + 1] = w / residual
-    return KrylovReduction(tuple(basis[:size]), hess, breakdown_at, n)
+    basis, hess, breakdown_at = arnoldi_iteration(
+        lambda v: apply(v.reshape(n, n)).reshape(-1), (rho0 / norm0).reshape(-1), krylov_dim + 1
+    )
+    size = min(basis.shape[0], krylov_dim + 1)
+    breakdown_at = None if breakdown_at == krylov_dim else breakdown_at
+    basis = tuple(basis[:size].reshape(size, n, n))
+    return KrylovReduction(basis, hess[:size, :size], breakdown_at, n)
 
 
 def project(reduction: KrylovReduction, rho) -> np.ndarray:
@@ -114,20 +96,19 @@ def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:
     return np.tensordot(coefficients, np.asarray(reduction.basis), axes=1)
 
 
-def propagate_reduced(reduction: KrylovReduction, t: float) -> np.ndarray:
-    """Evolve the normalized initial state inside the reduced space to time ``t``.
+def propagate_reduced(reduction: KrylovReduction, times) -> np.ndarray:
+    """Evolve the normalized initial state inside the reduced space over a time grid.
 
-    The initial coefficient vector is ``e_0``: the trajectory starts from
-    ``basis[0]`` (the unit-HS-norm initial state), so at ``t = 0`` the
-    result is ``basis[0]`` itself.  Exact whenever the reduction spans the
-    reachable Krylov space.  For a whole time grid, step the Hessenberg
-    matrix with :func:`~lindbladmv.linalg.propagate_linear` from ``e_0``
-    and :func:`reconstruct` the rows.
+    Returns the ``(T, n, n)`` stack of states at the ``T`` ascending,
+    non-negative ``times``.  The Hessenberg matrix is stepped from ``e_0``
+    by :func:`~lindbladmv.linalg.propagate_linear`, so the trajectory
+    starts from ``basis[0]`` (the unit-HS-norm initial state) and at
+    ``t = 0`` is ``basis[0]`` itself.  Exact whenever the reduction spans
+    the reachable Krylov space.
     """
     e0 = np.zeros(reduction.size, dtype=complex)
     e0[0] = 1.0
-    (coefficients,) = propagate_linear(reduction.hessenberg, e0, [t])
-    return reconstruct(reduction, coefficients)
+    return reconstruct(reduction, propagate_linear(reduction.hessenberg, e0, times))
 
 
 def ritz_values(reduction: KrylovReduction) -> EigenDecomposition:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
-from .linalg import hs_norm, propagate_linear
+from .linalg import hs_norm
 from .model import validate_state
 
 EXIT_OK = 0
@@ -101,10 +101,7 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
     elif method == "arnoldi":
         k = krylov_dim if krylov_dim is not None else model.dim**2 - 1
         reduction = arnoldi.arnoldi_reduce(model, rho0, k)
-        e0 = np.zeros(reduction.size, dtype=complex)
-        e0[0] = 1.0
-        coefficients = propagate_linear(reduction.hessenberg, e0, times)
-        states = arnoldi.reconstruct(reduction, coefficients) * hs_norm(rho0.matrix)
+        states = arnoldi.propagate_reduced(reduction, times) * hs_norm(rho0.matrix)
         rows = heisenberg.expectations(ops, states)
     elif method == "heisenberg":
         rep = heisenberg.close_set(model, ops)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernels.
 
-Hilbert-Schmidt inner products, matrix exponentials (full and
-action-on-vector), the time-grid stepper shared by every propagation path
-and a general non-Hermitian eigensolver.  All functions
+Hilbert-Schmidt inner products, the Arnoldi process, matrix exponentials
+(full and action-on-vector), the time-grid stepper shared by every
+propagation path and a general non-Hermitian eigensolver.  All functions
 but :func:`orthogonalize`, which updates its vector in place, are pure:
 inputs are never modified and results are fresh arrays.
 """
@@ -22,6 +22,9 @@ ATOL_EXACT = 1e-12
 TOL_ITERATIVE = 1e-9
 #: Machine epsilon of double precision, the unit of every round-off budget.
 EPS = float(np.finfo(float).eps)
+#: Arnoldi breakdown: a residual at most this fraction of the norm of the image
+#: it was orthogonalized from leaves an invariant Krylov space.
+BREAKDOWN_RTOL = 1e-12
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -95,6 +98,33 @@ def orthogonalize(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     return coefficients + correction
 
 
+def arnoldi_iteration(apply, v0: np.ndarray, k: int):
+    """Arnoldi process: up to ``k`` applications of ``apply`` from the unit vector ``v0``.
+
+    Returns ``(basis, hess, breakdown_at)`` with ``apply(basis[j]) = sum_i hess[i, j] basis[i]``
+    (``A V_k = V_{k+1} H``): row 0 of ``basis`` is ``v0``, each image is
+    orthogonalized against all earlier rows by :func:`orthogonalize` and the
+    subdiagonal is real and non-negative.  ``basis`` has ``k + 1`` rows and
+    ``hess`` is ``(k + 1, k)``, unless a residual is at most ``BREAKDOWN_RTOL``
+    times the norm of its image: that breakdown at step ``j`` returns the
+    ``j + 1`` rows, which span an invariant space, and a ``(j + 2, j + 1)``
+    ``hess`` whose last row holds the residual.
+    """
+    basis = np.empty((k + 1, v0.shape[0]), dtype=complex)
+    hess = np.zeros((k + 1, k), dtype=complex)
+    basis[0] = v0
+    for j in range(k):
+        u = apply(basis[j])
+        scale = np.linalg.norm(u)
+        hess[: j + 1, j] = orthogonalize(basis[: j + 1], u)
+        residual = np.linalg.norm(u)
+        hess[j + 1, j] = residual
+        if residual <= BREAKDOWN_RTOL * scale:
+            return basis[: j + 1], hess[: j + 2, : j + 1], j
+        basis[j + 1] = u / residual
+    return basis, hess, None
+
+
 def expm(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(m * t)``.
 
@@ -127,12 +157,11 @@ def expm_action(
     :class:`lindbladmv.model.LiouvilleOperator`.  An operator is trusted as
     given; a matrix is validated.
 
-    An Arnoldi approximation of dimension at most ``krylov_dim`` is built
-    from matrix-vector products with ``m`` and the time interval is split
-    adaptively until the per-step residual estimate is below ``tol``
-    relative to the current vector norm.  Cost is dominated by the
-    matrix-vector products; each new Krylov vector is orthogonalized
-    against the whole basis by :func:`orthogonalize`.
+    Each substep runs :func:`arnoldi_iteration` for at most ``krylov_dim``
+    products with ``m`` and halves the step until the residual estimate
+    ``beta |h_{k,k-1}| |[exp(tau H_k)]_{k-1,0}|`` is at most ``tol * beta``,
+    ``beta`` being the current vector norm.  After a breakdown the whole
+    remaining interval is tried first, under the same estimate.
 
     Raises :class:`ConvergenceError` when the step control cannot reach the
     requested tolerance within ``max_steps`` substeps.
@@ -159,29 +188,13 @@ def expm_action(
         beta = np.linalg.norm(w)
         if beta == 0.0:
             return w
-        basis = np.empty((dim + 1, n), dtype=complex)  # row j is Krylov vector j
-        hess = np.zeros((dim + 1, dim), dtype=complex)
-        basis[0] = w / beta
-        k = dim
-        invariant = False
-        for j in range(dim):
-            u = apply(basis[j])
-            scale_j = np.linalg.norm(u)
-            hess[: j + 1, j] = orthogonalize(basis[: j + 1], u)
-            h_next = np.linalg.norm(u)
-            hess[j + 1, j] = h_next
-            if h_next <= 1e-14 * max(scale_j, 1e-300):
-                k = j + 1
-                invariant = True
-                break
-            basis[j + 1] = u / h_next
-        tau = remaining if invariant or abs(step_guess) >= abs(remaining) else step_guess
+        basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim)
+        k = hess.shape[1]
+        whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
+        tau = remaining if whole else step_guess
         for _halving in range(80):
             phi = scipy.linalg.expm(tau * hess[:k, :k])[:, 0]
-            if invariant:
-                err = 0.0
-            else:
-                err = beta * abs(hess[k, k - 1]) * abs(phi[k - 1])
+            err = beta * abs(hess[k, k - 1]) * abs(phi[k - 1])
             if err <= tol * beta:
                 break
             tau *= 0.5

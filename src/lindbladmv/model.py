@@ -56,7 +56,10 @@ class LindbladModel:
             )
         normalized = []
         for k, (rate, op) in enumerate(self.jumps):
-            rate = float(rate)
+            try:
+                rate = float(rate)
+            except (OverflowError, TypeError, ValueError):  # huge int, str, complex
+                rate = np.nan
             if not 0.0 <= rate < np.inf:
                 raise ValidationError(f"jump rate {k} must be finite and non-negative: {rate}")
             op = as_square(op, f"jump operator {k}")

@@ -158,6 +158,10 @@ def load_observables(path) -> list[tuple[str, np.ndarray]]:
         label = item.get("label", f"obs{k}")
         if not isinstance(label, str):
             raise ModelFormatError(f"{path}: observables[{k}].label must be a string")
+        if any(c in label for c in ',"\r\n'):  # it becomes a CSV column name
+            raise ModelFormatError(
+                f"{path}: observables[{k}].label must not contain a comma, quote or line break"
+            )
         out.append((label, _rows_to_matrix(item["matrix"], dim, f"{path}: observables[{k}]")))
     if not out:
         raise ModelFormatError(f"{path}: observables list is empty")

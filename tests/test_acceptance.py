@@ -148,8 +148,8 @@ def test_picture_equivalence_of_dynamics():
         norm0 = hs_norm(rho0.matrix)
         via_arnoldi = np.array(
             [
-                [np.trace(x @ (propagate_reduced(reduction, t) * norm0)) for x in units]
-                for t in times
+                [np.trace(x @ state) for x in units]
+                for state in propagate_reduced(reduction, times) * norm0
             ]
         )
 
@@ -203,7 +203,7 @@ def test_analytic_decay_every_path():
 
         reduction = arnoldi_reduce(model, EXCITED, 3)
         got = np.array(
-            [np.trace(SZ @ propagate_reduced(reduction, t)).real for t in times]
+            [np.trace(SZ @ state).real for state in propagate_reduced(reduction, times)]
         )
         assert np.abs(got - expected).max() <= 1e-9
 

@@ -130,8 +130,9 @@ class TestDetectDegeneracy:
 
     def test_rejects_bad_tolerance(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))
-        with pytest.raises(ValidationError):
-            detect_degeneracy(superop, 0.0)
+        for cluster_tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="cluster_tol"):
+                detect_degeneracy(superop, cluster_tol)
 
 
 class TestBenchmark:

@@ -12,7 +12,7 @@ from lindbladmv.arnoldi import (
     ritz_values,
 )
 from lindbladmv.errors import ValidationError
-from lindbladmv.linalg import hs_inner, hs_norm, propagate_linear
+from lindbladmv.linalg import hs_inner, hs_norm
 from lindbladmv.model import LindbladModel, apply_generator, random_density, random_model
 from lindbladmv.tls import GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
@@ -149,7 +149,7 @@ class TestPropagateReduced:
     def test_time_zero(self):
         model = build_tls(TLSParams(0.7, 1.3, 0.9))
         reduction = arnoldi_reduce(model, GROUND, 3)
-        assert np.allclose(propagate_reduced(reduction, 0.0), reduction.basis[0], atol=1e-14)
+        assert np.allclose(propagate_reduced(reduction, [0.0])[0], reduction.basis[0], atol=1e-14)
 
     def test_full_span_matches_vectorized(self, rng):
         model = build_tls(TLSParams(0.7, 1.3, 0.9))
@@ -157,7 +157,7 @@ class TestPropagateReduced:
         reduction = arnoldi_reduce(model, GROUND, 3)
         for t in (0.3, 1.0 / 0.9, 4.0):
             (expected,) = propagate(superop, GROUND, [t])
-            out = propagate_reduced(reduction, t)  # hs_norm(GROUND) == 1
+            (out,) = propagate_reduced(reduction, [t])  # hs_norm(GROUND) == 1
             assert np.linalg.norm(out - expected.matrix) <= 1e-9
 
     def test_mixed_state_norm_factor(self, rng):
@@ -166,7 +166,7 @@ class TestPropagateReduced:
         superop = build_superoperator(model)
         reduction = arnoldi_reduce(model, rho0, 3)
         (expected,) = propagate(superop, rho0, [0.8])
-        out = propagate_reduced(reduction, 0.8) * hs_norm(rho0.matrix)
+        out = propagate_reduced(reduction, [0.8])[0] * hs_norm(rho0.matrix)
         assert np.linalg.norm(out - expected.matrix) <= 1e-9
 
     def test_breakdown_keeps_stationary_state(self, rng):
@@ -174,7 +174,7 @@ class TestPropagateReduced:
         rho0 = random_density(rng, 2)
         reduction = arnoldi_reduce(model, rho0, 3)
         for t in (0.0, 1.0, 10.0):
-            assert np.allclose(propagate_reduced(reduction, t), reduction.basis[0])
+            assert np.allclose(propagate_reduced(reduction, [t])[0], reduction.basis[0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -190,20 +190,27 @@ class TestPropagateReduced:
         model = random_model(rng, n, n_jumps=n_jumps)
         rho0 = random_density(rng, n)
         reduction = arnoldi_reduce(model, rho0, n * n - 1)
-        e0 = np.zeros(reduction.size, dtype=complex)
-        e0[0] = 1.0
-        coefficients = propagate_linear(reduction.hessenberg, e0, times)
-        states = reconstruct(reduction, coefficients) * hs_norm(rho0.matrix)
+        states = propagate_reduced(reduction, times) * hs_norm(rho0.matrix)
         matrix = build_superoperator(model).matrix
         for t, state in zip(times, states):
             expected = unvec(scipy.linalg.expm(matrix * t) @ vec(rho0.matrix), n)
             assert np.abs(state - expected).max() <= 1e-9
 
+    def test_grid_rows_match_single_time_calls(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        reduction = arnoldi_reduce(model, random_density(rng, 3), 8)
+        times = [0.0, 0.4, 0.4, 1.1, 3.0]
+        states = propagate_reduced(reduction, times)
+        assert states.shape == (len(times), 3, 3)
+        for t, state in zip(times, states):
+            (single,) = propagate_reduced(reduction, [t])
+            assert np.abs(state - single).max() <= 1e-12
+
     def test_negative_time_rejected(self):
         model = build_tls(TLSParams(0.0, 1.0, 1.0))
         reduction = arnoldi_reduce(model, GROUND, 3)
         with pytest.raises(ValidationError):
-            propagate_reduced(reduction, -0.1)
+            propagate_reduced(reduction, [-0.1])
 
     def test_error_decreases_with_krylov_dimension(self):
         # statistical property: the truncation error is non-increasing in the
@@ -220,7 +227,7 @@ class TestPropagateReduced:
             norm0 = hs_norm(rho0.matrix)
             for k in dims:
                 reduction = arnoldi_reduce(model, rho0, k)
-                approx = propagate_reduced(reduction, t) * norm0
+                approx = propagate_reduced(reduction, [t])[0] * norm0
                 errors[k].append(np.linalg.norm(approx - reference.matrix))
         medians = [np.median(errors[k]) for k in dims]
         assert all(b < a for a, b in zip(medians, medians[1:]))
@@ -232,7 +239,7 @@ class TestPropagateReduced:
             t = 1.0 / np.linalg.norm(superop.matrix, 2)
             (reference,) = propagate(superop, rho0, [t])
             reduction = arnoldi_reduce(model, rho0, 15)
-            approx = propagate_reduced(reduction, t) * hs_norm(rho0.matrix)
+            approx = propagate_reduced(reduction, [t])[0] * hs_norm(rho0.matrix)
             full.append(np.linalg.norm(approx - reference.matrix))
         assert max(full) <= 1e-9
 

@@ -259,6 +259,24 @@ def test_degeneracy_report(tmp_path, capsys):
     assert "defective: no" in out
 
 
+@pytest.mark.parametrize("cluster_tol", ["nan", "inf"])
+def test_degeneracy_rejects_non_finite_cluster_tol(tls_files, capsys, cluster_tol):
+    paths, _ = tls_files
+    assert main(["degeneracy", str(paths["model"]), "--cluster-tol", cluster_tol]) == 2
+    assert "cluster_tol" in capsys.readouterr().err
+
+
+def test_propagate_rejects_comma_label(tls_files, tmp_path, capsys):
+    paths, _ = tls_files
+    obs = tmp_path / "comma.json"
+    save_observables(obs, [("a,b", SZ)])
+    argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
+            "--observables", str(obs), "--t1", "1", "--steps", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "observables[0].label" in err
+
+
 def test_bench_csv_and_slopes(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     assert main(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindbladmv.errors import ConvergenceError, ExpOverflowError, ValidationError
 from lindbladmv.linalg import (
+    BREAKDOWN_RTOL,
+    arnoldi_iteration,
     eig,
     expm,
     expm_action,
@@ -95,7 +98,104 @@ class TestExpm:
             expm(np.array([[1e4]]), 1e3)
 
 
+def check_arnoldi_relation(apply, basis, hess):
+    """``A V_k = V_{k+1} H``, orthonormal rows, real non-negative subdiagonal."""
+    k = hess.shape[1]
+    assert basis.shape[0] == k + 1
+    images = np.array([apply(v) for v in basis[:k]])
+    scale = np.abs(images).max()
+    assert np.abs(images - hess.T @ basis).max() <= 1e-12 * scale
+    assert np.abs(basis.conj() @ basis.T - np.eye(k + 1)).max() <= 1e-12
+    assert np.array_equal(np.tril(hess, -2), np.zeros_like(hess))
+    subdiagonal = np.diagonal(hess, -1)
+    assert np.all(subdiagonal.imag == 0.0) and np.all(subdiagonal.real > 0.0)
+
+
+def block_matrix(rng, head, n):
+    """A non-normal ``n x n`` matrix ``s t s^-1`` and its ``s``.
+
+    ``t`` is block upper triangular with ``head`` as its leading block, so
+    the first ``len(head)`` columns of ``s`` span an invariant subspace on
+    which the matrix acts as ``head``.  The other eigenvalues have real parts
+    in ``[-2, -0.5]``.
+    """
+    block = len(head)
+    t = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    t[:block, :block] = head
+    rest = np.arange(block, n)
+    t[rest, rest] = -rng.uniform(0.5, 2.0, n - block)
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return s @ t @ np.linalg.inv(s), s
+
+
+#: A slowly decaying rotation, eigenvalues ``-0.02 +- 1j``.
+ROTATION = np.array([[-0.02, 1.0], [-1.0, -0.02]])
+
+
+class TestArnoldiIteration:
+    def test_relation_on_random_non_normal_matrix(self, rng):
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        m[np.tril_indices(12, -1)] *= 0.1  # far from normal
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 7)
+        assert breakdown_at is None
+        assert hess.shape == (8, 7)
+        assert np.array_equal(basis[0], v / np.linalg.norm(v))
+        check_arnoldi_relation(m.dot, basis, hess)
+
+    def test_relation_on_liouville_operator(self, rng):
+        operator = random_model(rng, 3, n_jumps=2).operator
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        basis, hess, breakdown_at = arnoldi_iteration(operator.matvec, v / np.linalg.norm(v), 6)
+        assert breakdown_at is None
+        check_arnoldi_relation(operator.matvec, basis, hess)
+
+    def test_eigenvector_start_breaks_down_at_zero(self, rng):
+        m, s = block_matrix(rng, [[-0.02 + 1.0j]], 8)
+        v = s[:, 0] / np.linalg.norm(s[:, 0])
+        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v, 5)
+        assert breakdown_at == 0
+        assert basis.shape == (1, 8)
+        assert hess.shape == (2, 1)
+        assert abs(hess[1, 0]) <= BREAKDOWN_RTOL * np.linalg.norm(m @ v)
+        assert abs(hess[0, 0] - np.vdot(v, m @ v)) <= 1e-12 * np.linalg.norm(m @ v)
+
+    def test_two_dimensional_invariant_subspace_breaks_down_at_one(self, rng):
+        m, s = block_matrix(rng, ROTATION, 8)
+        v = s[:, :2] @ np.array([1.0, 0.5j])
+        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 5)
+        assert breakdown_at == 1
+        assert basis.shape == (2, 8)
+        assert hess.shape == (3, 2)
+        images = np.array([m @ b for b in basis])
+        assert np.abs(images - hess[:2].T @ basis).max() <= 1e-12 * np.abs(images).max()
+
+    def test_zero_operator_breaks_down_at_zero(self):
+        basis, hess, breakdown_at = arnoldi_iteration(lambda v: 0.0 * v, np.eye(4)[0], 3)
+        assert breakdown_at == 0
+        assert np.array_equal(hess, np.zeros((2, 1)))
+
+
 class TestExpmAction:
+    def test_invariant_subspace_start_long_time(self, rng):
+        # the Krylov space breaks down at step 1; the whole interval is one
+        # substep, accepted by the same error estimate as any other
+        m, s = block_matrix(rng, ROTATION, 10)
+        v = s[:, :2] @ np.array([0.3, 1.0 - 0.2j])
+        calls = []
+
+        class Counted:
+            shape = m.shape
+
+            def matvec(self, x):
+                calls.append(x)
+                return m @ x
+
+        expected = scipy.linalg.expm(50.0 * m) @ v
+        out = expm_action(Counted(), v, 50.0)
+        assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert len(calls) == 2
+
     def test_zero_matrix(self, rng):
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
         assert np.array_equal(expm_action(np.zeros((5, 5)), v, 3.0), v)

@@ -31,7 +31,16 @@ class TestModelConstruction:
         with pytest.raises(ValidationError):
             LindbladModel(np.eye(2), ((-0.5, np.eye(2)),))
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            np.nan,
+            np.inf,
+            pytest.param(10**400, id="huge-int"),
+            pytest.param("x", id="str"),
+            pytest.param(1j, id="complex"),
+        ],
+    )
     def test_non_finite_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="jump rate 1 must be finite"):
             LindbladModel(np.eye(2), ((1.0, np.eye(2)), (rate, np.eye(2))))

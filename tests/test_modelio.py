@@ -122,6 +122,14 @@ def test_observables_empty_rejected(tmp_path):
         load_observables(path)
 
 
+@pytest.mark.parametrize("label", ["a,b", 'say "x"', "a\rb", "a\nb"])
+def test_observable_label_must_fit_a_csv_header(tmp_path, label):
+    path = tmp_path / "obs.json"
+    save_observables(path, [("Sz", SZ), (label, SX)])
+    with pytest.raises(ModelFormatError, match=r"observables\[1\]\.label"):
+        load_observables(path)
+
+
 def test_basis_labels_length_checked(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
