@@ -122,12 +122,15 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
             i = parent[i]
         return i
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            if abs(values[i] - values[j]) <= cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    # np.hypot of the parts rounds as Python's abs(z) does; np.abs of a complex
+    # array can differ from it in the last bit
+    diff = values[:, None] - values[None, :]
+    distances = np.hypot(diff.real, diff.imag)
+    close = np.triu(distances <= cluster_tol, 1)
+    for i, j in np.argwhere(close).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
 
     groups: dict[int, list[int]] = {}
     for i in range(count):
@@ -135,9 +138,7 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
     clusters = []
     for members in groups.values():
         pts = values[members]
-        diameter = max(
-            (abs(a - b) for a in pts for b in pts), default=0.0
-        )
+        diameter = distances[np.ix_(members, members)].max() if len(members) > 1 else 0.0
         clusters.append(
             EigenvalueCluster(complex(pts.mean()), tuple(members), float(diameter))
         )

@@ -140,10 +140,18 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     return result
 
 
+def as_times(times, name: str = "times") -> np.ndarray:
+    """Coerce ``times`` to a 1-D float grid that is finite, non-negative and ascending."""
+    grid = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(grid).all() or (grid < 0.0).any() or (np.diff(grid) < 0.0).any():
+        raise ValidationError(f"{name} must be finite, non-negative and ascending")
+    return grid
+
+
 def expm_action(
     m,
     v,
-    t: float = 1.0,
+    t=1.0,
     *,
     tol: float = 1e-12,
     krylov_dim: int = 30,
@@ -155,16 +163,22 @@ def expm_action(
     with a ``shape`` of ``(N, N)`` and a ``matvec(x)`` method returning the
     product with a length-``N`` vector, such as
     :class:`lindbladmv.model.LiouvilleOperator`.  An operator is trusted as
-    given; a matrix is validated.
+    given; a matrix is validated.  ``t`` is a finite scalar, which gives a
+    length-``N`` result, or a 1-D grid of finite, non-negative, ascending
+    times, which gives ``(T, N)`` with row ``i`` equal to ``exp(m t_i) @ v``.
 
-    Each substep runs :func:`arnoldi_iteration` for at most ``krylov_dim``
-    products with ``m`` and halves the step until the residual estimate
+    Each Krylov basis comes from :func:`arnoldi_iteration` with at most
+    ``krylov_dim`` products with ``m``.  Its first substep aims at the next
+    grid time and halves until the residual estimate
     ``beta |h_{k,k-1}| |[exp(tau H_k)]_{k-1,0}|`` is at most ``tol * beta``,
-    ``beta`` being the current vector norm.  After a breakdown the whole
-    remaining interval is tried first, under the same estimate.
+    ``beta`` being the norm of the vector the basis starts from.  When that
+    substep lands on the grid time (after a breakdown it is tried first),
+    the same basis also serves each later grid time whose own estimate
+    meets the same bound, up to the first that fails it; the next basis
+    starts from the last time served.
 
-    Raises :class:`ConvergenceError` when the step control cannot reach the
-    requested tolerance within ``max_steps`` substeps.
+    Raises :class:`ConvergenceError` when the step control stalls or the
+    grid is not covered within ``max_steps`` bases.
     """
     if hasattr(m, "matvec"):
         apply, shape, is_zero = m.matvec, tuple(m.shape), False
@@ -175,73 +189,102 @@ def expm_action(
     n = shape[0]
     if v.shape[0] != n:
         raise ValidationError(f"dimension mismatch: operator {shape}, vector {v.shape}")
-    if t == 0.0 or is_zero:
-        return v.copy()
+    scalar = np.ndim(t) == 0
+    if scalar and not np.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t!r}")
+    grid = np.array([t], dtype=float) if scalar else as_times(t, "t")
+    out = np.empty((grid.shape[0], n), dtype=complex)
+    if is_zero:
+        out[:] = v
+        return out[0] if scalar else out
 
     dim = min(krylov_dim, n)
-    w = v.copy()
-    remaining = float(t)
-    step_guess = remaining
-    for _ in range(max_steps):
-        if remaining == 0.0:
-            return w
+    w, i, remaining, step_guess, steps = v, 0, grid[0], np.inf, 0
+    while i < grid.shape[0]:
+        if remaining == 0.0:  # w is the state at grid[i]
+            out[i] = w
+            i += 1
+            if i < grid.shape[0]:
+                remaining = grid[i] - grid[i - 1]
+            continue
         beta = np.linalg.norm(w)
-        if beta == 0.0:
-            return w
+        if beta == 0.0 or not np.isfinite(beta):  # zero stays zero; overflow is reported by callers
+            out[i:] = w
+            break
+        if steps == max_steps:
+            raise ConvergenceError(
+                f"expm_action did not reach t = {grid[-1]!r} with {max_steps} Krylov bases",
+                residual=abs(grid[-1] - grid[i] + remaining),
+            )
+        steps += 1
         basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim)
         k = hess.shape[1]
+        h, residual = hess[:k, :k], abs(hess[k, k - 1])
         whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
         tau = remaining if whole else step_guess
         for _halving in range(80):
-            phi = scipy.linalg.expm(tau * hess[:k, :k])[:, 0]
-            err = beta * abs(hess[k, k - 1]) * abs(phi[k - 1])
-            if err <= tol * beta:
+            phi = scipy.linalg.expm(tau * h)[:, 0]
+            err = residual * abs(phi[k - 1])
+            if err <= tol:
                 break
             tau *= 0.5
         else:
-            raise ConvergenceError("expm_action step control stalled", residual=err / beta)
-        w = (beta * phi) @ basis[:k]
-        remaining -= tau
-        step_guess = 2.0 * tau  # let accepted steps grow back
-    raise ConvergenceError(
-        f"expm_action did not cover the interval in {max_steps} substeps",
-        residual=abs(remaining),
-    )
+            raise ConvergenceError("expm_action step control stalled", residual=err)
+        if tau != remaining:  # short of grid[i]: the next basis goes on from here
+            w = (beta * phi) @ basis[:k]
+            remaining -= tau
+            step_guess = 2.0 * tau  # let accepted steps grow back
+            continue
+        # landed on grid[i]: later grid times share this basis while their estimates hold
+        coefficients, j = [beta * phi], i + 1
+        while j < grid.shape[0]:
+            if grid[j] != grid[j - 1]:
+                phi = scipy.linalg.expm((grid[j] - grid[i] + tau) * h)[:, 0]
+                if residual * abs(phi[k - 1]) > tol:
+                    break
+            coefficients.append(beta * phi)
+            j += 1
+        rows = np.array(coefficients) @ basis[:k]
+        out[i : j - 1] = rows[:-1]
+        step_guess = 2.0 * (grid[j - 1] - grid[i] + tau)
+        w, i, remaining = rows[-1], j - 1, 0.0
+    return out[0] if scalar else out
 
 
 def propagate_linear(a, y0, times) -> np.ndarray:
     """Solve ``y' = a y`` from ``y(0) = y0``: row ``i`` of the result is ``exp(a t_i) y0``.
 
-    ``times`` must be finite, non-negative and ascending.  The solution
-    steps from each time to the next: for a matrix ``a``, one ``exp(a dt)``
-    serves every run of equal steps (a uniform grid costs one exponential;
-    steps within ``8 eps t``, the rounding of the times themselves, count as
-    equal); a matrix-free operator (see :func:`expm_action`) is applied
-    through :func:`expm_action` over each step.
+    ``times`` must be finite, non-negative and ascending.  For a matrix
+    ``a`` the solution steps from each time to the next, and one
+    ``exp(a dt)`` serves every run of equal steps (a uniform grid costs one
+    exponential; steps within ``8 eps t``, the rounding of the times
+    themselves, count as equal).  A matrix-free operator (see
+    :func:`expm_action`) goes through one :func:`expm_action` call over the
+    whole grid.
     """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if not np.isfinite(times).all() or (times < 0.0).any() or (np.diff(times) < 0.0).any():
-        raise ValidationError("times must be finite, non-negative and ascending")
+    times = as_times(times)
     matrix_free = hasattr(a, "matvec")
     if not matrix_free:
         a = as_square(a, "a")
     y = as_vector(y0, "y0")
     if y.shape[0] != a.shape[0]:
         raise ValidationError(f"dimension mismatch: operator {a.shape}, vector {y.shape}")
-    out = np.empty((times.shape[0], y.shape[0]), dtype=complex)
-    previous, step, propagator = 0.0, None, None
-    for i, t in enumerate(times):
-        dt = t - previous
-        if dt > 0.0 and matrix_free:
-            y = expm_action(a, y, dt)
-        elif dt > 0.0:
-            if step is None or abs(dt - step) > 8.0 * EPS * t:
-                step, propagator = dt, expm(a, dt)
-            y = propagator @ y
-        if not np.isfinite(y).all():
-            raise ExpOverflowError(f"exp(a*t) y0 overflowed at t = {t!r}")
-        out[i] = y
-        previous = t
+    if matrix_free:
+        out = expm_action(a, y, times)
+    else:
+        out = np.empty((times.shape[0], y.shape[0]), dtype=complex)
+        previous, step, propagator = 0.0, None, None
+        for i, t in enumerate(times):
+            dt = t - previous
+            if dt > 0.0:
+                if step is None or abs(dt - step) > 8.0 * EPS * t:
+                    step, propagator = dt, expm(a, dt)
+                y = propagator @ y
+            out[i] = y
+            previous = t
+    overflowed = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if overflowed.size:
+        raise ExpOverflowError(f"exp(a*t) y0 overflowed at t = {times[overflowed[0]]!r}")
     return out
 
 

@@ -21,6 +21,12 @@ def _matrix_to_rows(matrix) -> list:
     return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
+def _check_label(label: str, where: str, error) -> None:
+    """Raise ``error`` naming ``where`` if ``label`` cannot be a CSV column name as it stands."""
+    if any(c in label for c in ',"\r\n'):
+        raise error(f"{where}.label must not contain a comma, quote or line break")
+
+
 def _save(path, dim: int, basis_labels, **fields) -> None:
     labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(dim)]
     if len(labels) != dim:
@@ -158,10 +164,7 @@ def load_observables(path) -> list[tuple[str, np.ndarray]]:
         label = item.get("label", f"obs{k}")
         if not isinstance(label, str):
             raise ModelFormatError(f"{path}: observables[{k}].label must be a string")
-        if any(c in label for c in ',"\r\n'):  # it becomes a CSV column name
-            raise ModelFormatError(
-                f"{path}: observables[{k}].label must not contain a comma, quote or line break"
-            )
+        _check_label(label, f"{path}: observables[{k}]", ModelFormatError)
         out.append((label, _rows_to_matrix(item["matrix"], dim, f"{path}: observables[{k}]")))
     if not out:
         raise ModelFormatError(f"{path}: observables list is empty")
@@ -169,6 +172,16 @@ def load_observables(path) -> list[tuple[str, np.ndarray]]:
 
 
 def save_observables(path, labeled_matrices, basis_labels=None) -> None:
+    """Write an observables file; an item :func:`load_observables` would reject raises
+    :class:`ValidationError` naming it."""
     labeled = [(str(label), np.asarray(m, dtype=complex)) for label, m in labeled_matrices]
+    if not labeled:
+        raise ValidationError("observables list is empty")
+    first = labeled[0][1].shape
+    dim = first[0] if first else 0
+    for k, (label, matrix) in enumerate(labeled):
+        _check_label(label, f"observables[{k}]", ValidationError)
+        if dim < 1 or matrix.shape != (dim, dim) or not np.isfinite(matrix).all():
+            raise ValidationError(f"observables[{k}] must be a finite {dim} x {dim} matrix")
     observables = [{"label": label, "matrix": _matrix_to_rows(m)} for label, m in labeled]
-    _save(path, labeled[0][1].shape[0], basis_labels, observables=observables)
+    _save(path, dim, basis_labels, observables=observables)

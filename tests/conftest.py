@@ -41,6 +41,12 @@ def submultiset_close(subset, superset, tol):
     return True
 
 
+def json_rows(matrix):
+    """A matrix as the nested ``[re, im]`` rows of the JSON file formats."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
 def random_hermitian(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (g + g.conj().T)

@@ -10,6 +10,7 @@ from lindbladmv.analysis import (
     BenchRecord,
 )
 from lindbladmv.errors import DefectiveSpectrumError, ValidationError
+from lindbladmv.linalg import EigenDecomposition
 from lindbladmv.model import random_density, random_model
 from lindbladmv.tls import EXCITED, GROUND, SZ, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate
@@ -89,6 +90,35 @@ class TestObservableModes:
             observable_modes(superop, EXCITED, SZ)
 
 
+def clusters_by_pairwise_loop(values, cluster_tol):
+    """Single-linkage clusters by the all-pairs loop, as ``(center, members, diameter)``."""
+    count = values.shape[0]
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if abs(values[i] - values[j]) <= cluster_tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        pts = values[members]
+        diameter = max((abs(a - b) for a in pts for b in pts), default=0.0)
+        clusters.append((complex(pts.mean()), tuple(members), float(diameter)))
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    return clusters
+
+
 class TestDetectDegeneracy:
     def test_exceptional_point(self):
         delta, eps, gamma = ep_params()
@@ -127,6 +157,25 @@ class TestDetectDegeneracy:
         report = detect_degeneracy(superop, 1e-6)
         centers = [(c.center.real, c.center.imag) for c in report.clusters]
         assert centers == sorted(centers)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clusters_match_pairwise_loop(self, monkeypatch, seed):
+        # spectra on a lattice of spacing 0.8 * cluster_tol: exact ties, chains
+        # of near neighbours and isolated values, half of them jittered
+        import lindbladmv.analysis as analysis
+
+        rng = np.random.default_rng(seed)
+        cluster_tol = 1e-3
+        count = 60
+        values = 0.8 * cluster_tol * (rng.integers(-6, 7, count) + 1j * rng.integers(-3, 4, count))
+        values[::2] += 0.3 * cluster_tol * rng.uniform(-1.0, 1.0, count // 2)
+        values = values[np.lexsort((values.imag, values.real))]
+        fake = EigenDecomposition(values, np.eye(count), np.zeros(count), 1.0)
+        monkeypatch.setattr(analysis, "spectrum", lambda superop: fake)
+        report = detect_degeneracy(None, cluster_tol)
+        got = [(c.center, c.members, c.diameter) for c in report.clusters]
+        assert got == clusters_by_pairwise_loop(values, cluster_tol)
+        assert 1 < len(got) < count
 
     def test_rejects_bad_tolerance(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from lindbladmv.cli import build_parser, main
-from lindbladmv.model import random_density, random_model
+from lindbladmv.model import LindbladModel, random_density, random_model
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import (
     BASIS_LABELS,
@@ -21,7 +22,7 @@ from lindbladmv.tls import (
     build_tls,
 )
 
-from conftest import ep_params, multiset_close, tls_superop_golden
+from conftest import ep_params, json_rows, multiset_close, tls_superop_golden
 
 
 @pytest.fixture
@@ -234,6 +235,33 @@ def test_uniform_grid_takes_one_exponential(tmp_path, capsys, monkeypatch, metho
     assert len(capsys.readouterr().out.strip().splitlines()) == 22
 
 
+def test_expm_action_grid_reuses_krylov_bases(tmp_path, capsys, monkeypatch):
+    import lindbladmv.linalg as linalg
+
+    rng = np.random.default_rng(7)
+    n = 24
+    raw = random_model(rng, n, n_jumps=2)
+
+    def scaled(a):  # Frobenius norm sqrt(n), as in the benchmark's models
+        return a * (np.sqrt(n) / np.linalg.norm(a))
+
+    model = LindbladModel(scaled(raw.hamiltonian), tuple((r, scaled(op)) for r, op in raw.jumps))
+    paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+    save_model(paths[0], model)
+    save_state(paths[1], random_density(rng, n).matrix)
+    save_observables(paths[2], [("I", np.eye(n))])
+    actions, runs = [], []
+    expm_action, arnoldi_iteration = linalg.expm_action, linalg.arnoldi_iteration
+    monkeypatch.setattr(linalg, "expm_action", lambda *a: actions.append(a) or expm_action(*a))
+    monkeypatch.setattr(linalg, "arnoldi_iteration", lambda *a: runs.append(a) or arnoldi_iteration(*a))
+    argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
+            str(paths[2]), "--t0", "0", "--t1", "5", "--steps", "21", "--method", "expm-action"]
+    assert main(argv) == 0
+    assert len(actions) == 1
+    assert len(runs) <= 4  # one basis per grid interval would be 20
+    assert len(capsys.readouterr().out.strip().splitlines()) == 22
+
+
 def test_degeneracy_report(tmp_path, capsys):
     delta, eps, gamma = ep_params()
     model_path = tmp_path / "ep.json"
@@ -269,7 +297,7 @@ def test_degeneracy_rejects_non_finite_cluster_tol(tls_files, capsys, cluster_to
 def test_propagate_rejects_comma_label(tls_files, tmp_path, capsys):
     paths, _ = tls_files
     obs = tmp_path / "comma.json"
-    save_observables(obs, [("a,b", SZ)])
+    obs.write_text(json.dumps({"dim": 2, "observables": [{"label": "a,b", "matrix": json_rows(SZ)}]}))
     argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
             "--observables", str(obs), "--t1", "1", "--steps", "3"]
     assert main(argv) == 2

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindbladmv.errors import ConvergenceError, ExpOverflowError, ValidationError
 from lindbladmv.linalg import (
@@ -13,7 +15,7 @@ from lindbladmv.linalg import (
     hs_norm,
     propagate_linear,
 )
-from lindbladmv.model import random_model
+from lindbladmv.model import random_density, random_model
 from lindbladmv.tls import IDENTITY, SX, SY, SZ
 from lindbladmv.vectorized import build_superoperator
 from lindbladmv.tls import TLSParams, build_tls
@@ -196,9 +198,62 @@ class TestExpmAction:
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
         assert len(calls) == 2
 
+    def test_invariant_subspace_grid_takes_one_basis(self, rng, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        m, s = block_matrix(rng, ROTATION, 10)
+        v = s[:, :2] @ np.array([0.3, 1.0 - 0.2j])
+        runs = []
+        monkeypatch.setattr(
+            linalg, "arnoldi_iteration", lambda *a: runs.append(a) or arnoldi_iteration(*a)
+        )
+        times = np.linspace(0.0, 50.0, 21)
+        out = expm_action(m, v, times)
+        assert len(runs) == 1
+        for t, y in zip(times, out):
+            expected = scipy.linalg.expm(t * m) @ v
+            assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        n_jumps=st.integers(0, 2),
+        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6).map(
+            lambda ts: sorted([0.0] + ts + ts[:1])
+        ),
+    )
+    def test_grid_matches_dense_exponential(self, seed, n, n_jumps, times):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, n_jumps=n_jumps)
+        matrix = build_superoperator(model).matrix
+        v = random_density(rng, n).matrix.reshape(-1, order="F")
+        out = expm_action(model.operator, v, times)
+        assert out.shape == (len(times), n * n)
+        for t, y in zip(times, out):
+            expected = scipy.linalg.expm(t * matrix) @ v
+            assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_scalar_time_is_a_one_point_grid(self, rng):
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)) - 4.0 * np.eye(12)
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        for t in (0.0, 0.7, -0.3, 6.0):
+            out = expm_action(m, v, t)
+            assert out.shape == (12,)
+            expected = scipy.linalg.expm(t * m) @ v
+            assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+        for t in (0.0, 0.7, 6.0):
+            assert np.array_equal(expm_action(m, v, [t]), expm_action(m, v, t)[None])
+
+    def test_bad_times_rejected(self):
+        for t in (np.nan, np.inf, [0.0, -1.0], [1.0, 0.5], [0.0, np.nan]):
+            with pytest.raises(ValidationError):
+                expm_action(np.eye(2), np.ones(2), t)
+
     def test_zero_matrix(self, rng):
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
         assert np.array_equal(expm_action(np.zeros((5, 5)), v, 3.0), v)
+        assert np.array_equal(expm_action(np.zeros((5, 5)), v, [0.0, 1.0, 1.0]), np.tile(v, (3, 1)))
 
     def test_diagonal_decay(self):
         out = expm_action(np.diag([-1.0, -2.0]), np.array([1.0, 1.0]), 1.0)
@@ -225,12 +280,15 @@ class TestExpmAction:
         m = rng.normal(size=(4, 4))
         v = rng.normal(size=4)
         assert np.array_equal(expm_action(m, v, 0.0), v.astype(complex))
+        assert np.array_equal(expm_action(m, v, [0.0, 0.0]), np.tile(v.astype(complex), (2, 1)))
 
     def test_nonconvergence_reported(self, rng):
         m = 50.0 * (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
         v = rng.normal(size=40) + 1j * rng.normal(size=40)
         with pytest.raises(ConvergenceError):
             expm_action(m, v, 1.0, krylov_dim=5, max_steps=2)
+        with pytest.raises(ConvergenceError):
+            expm_action(m, v, [0.0, 0.5, 1.0], krylov_dim=5, max_steps=2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

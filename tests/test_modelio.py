@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lindbladmv.cli import main
-from lindbladmv.errors import ModelFormatError
+from lindbladmv.errors import ModelFormatError, ValidationError
 from lindbladmv.modelio import (
     load_model,
     load_observables,
@@ -17,6 +17,8 @@ from lindbladmv.modelio import (
 )
 from lindbladmv.model import random_model
 from lindbladmv.tls import BASIS_LABELS, GROUND, SX, SZ, TLSParams, build_tls
+
+from conftest import json_rows
 
 
 def test_model_round_trip_bit_exact(tmp_path, rng):
@@ -125,9 +127,29 @@ def test_observables_empty_rejected(tmp_path):
 @pytest.mark.parametrize("label", ["a,b", 'say "x"', "a\rb", "a\nb"])
 def test_observable_label_must_fit_a_csv_header(tmp_path, label):
     path = tmp_path / "obs.json"
-    save_observables(path, [("Sz", SZ), (label, SX)])
+    items = [{"label": "Sz", "matrix": json_rows(SZ)}, {"label": label, "matrix": json_rows(SX)}]
+    path.write_text(json.dumps({"dim": 2, "observables": items}))
     with pytest.raises(ModelFormatError, match=r"observables\[1\]\.label"):
         load_observables(path)
+
+
+@pytest.mark.parametrize(
+    "items, where",
+    [
+        ([], "observables list is empty"),
+        ([("Sz", SZ), ("a,b", SX)], r"observables\[1\]\.label"),
+        ([("Sz", SZ), ('say "x"', SX)], r"observables\[1\]\.label"),
+        ([("a\nb", SZ)], r"observables\[0\]\.label"),
+        ([("Sz", SZ), ("big", np.eye(3))], r"observables\[1\] must be a finite 2 x 2"),
+        ([("Sz", SZ), ("nan", SX * np.nan)], r"observables\[1\] must be a finite 2 x 2"),
+        ([("v", np.ones(2))], r"observables\[0\] must be a finite 2 x 2"),
+    ],
+)
+def test_save_observables_rejects_what_load_rejects(tmp_path, items, where):
+    path = tmp_path / "obs.json"
+    with pytest.raises(ValidationError, match=where):
+        save_observables(path, items)
+    assert not path.exists()
 
 
 def test_basis_labels_length_checked(tmp_path):
