@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import EigenDecomposition, arnoldi_iteration, eig, hs_inner, hs_norm, propagate_linear
 from .model import LindbladModel, _state_matrix
+from .vectorized import from_hermitian_basis, to_hermitian_basis, vec
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,15 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
 
     Builds at most ``krylov_dim + 1`` basis matrices.  ``krylov_dim`` is
     capped at ``n^2 - 1`` (the full Liouville dimension).  The kernel
-    :func:`~lindbladmv.linalg.arnoldi_iteration` runs on row-major flattened
-    matrices, whose inner product is the Hilbert-Schmidt one; its last
-    application only fills the last Hessenberg column, so only an earlier
-    breakdown truncates the reduction to the invariant subspace found.
+    :func:`~lindbladmv.linalg.arnoldi_iteration` runs on ``vec`` vectors,
+    whose inner product is the Hilbert-Schmidt one, or, when ``rho0`` equals
+    its conjugate transpose exactly, on their real coordinates on the
+    Hermitian basis (:func:`~lindbladmv.vectorized.to_hermitian_basis`):
+    each image is then projected onto its Hermitian part, so round-off
+    cannot open an anti-Hermitian direction, and the Hessenberg matrix is
+    real.  The last application only fills the last Hessenberg column, so
+    only an earlier breakdown truncates the reduction to the invariant
+    subspace found.
     """
     if krylov_dim < 0:
         raise ValidationError(f"krylov_dim must be >= 0, got {krylov_dim}")
@@ -63,13 +69,23 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
 
-    apply = model.operator.apply
-    basis, hess, breakdown_at = arnoldi_iteration(
-        lambda v: apply(v.reshape(n, n)).reshape(-1), (rho0 / norm0).reshape(-1), krylov_dim + 1
-    )
+    matvec = model.operator.matvec
+    v0 = vec(rho0 / norm0)
+    coordinates = to_hermitian_basis(v0)
+    hermitian = not coordinates.imag.any()
+    if hermitian:
+        v0 = coordinates.real
+
+        def apply(r):  # the Hermitian part of the image, in real coordinates
+            return to_hermitian_basis(matvec(from_hermitian_basis(r))).real
+    else:
+        apply = matvec
+    basis, hess, breakdown_at = arnoldi_iteration(apply, v0, krylov_dim + 1)
     size = min(basis.shape[0], krylov_dim + 1)
     breakdown_at = None if breakdown_at == krylov_dim else breakdown_at
-    basis = tuple(basis[:size].reshape(size, n, n))
+    vectors = from_hermitian_basis(basis[:size].T).T if hermitian else basis[:size]
+    # row k of vectors is vec(basis matrix k), the rows of its transpose
+    basis = tuple(vectors.reshape(size, n, n).transpose(0, 2, 1))
     return KrylovReduction(basis, hess[:size, :size], breakdown_at, n)
 
 
@@ -106,7 +122,7 @@ def propagate_reduced(reduction: KrylovReduction, times) -> np.ndarray:
     ``t = 0`` is ``basis[0]`` itself.  Exact whenever the reduction spans
     the reachable Krylov space.
     """
-    e0 = np.zeros(reduction.size, dtype=complex)
+    e0 = np.zeros(reduction.size, dtype=reduction.hessenberg.dtype)
     e0[0] = 1.0
     return reconstruct(reduction, propagate_linear(reduction.hessenberg, e0, times))
 

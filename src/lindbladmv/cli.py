@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
-from .linalg import hs_norm
+from .linalg import eigvals, hs_norm
 from .model import validate_state
 
 EXIT_OK = 0
@@ -37,12 +37,6 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _sorted_eigenvalues(values) -> np.ndarray:
-    values = np.asarray(values)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
 
 
 def cmd_make_tls(args) -> int:
@@ -68,24 +62,24 @@ def cmd_superop(args) -> int:
 def cmd_spectrum(args) -> int:
     model = modelio.load_model(args.model)
     if args.method == "vec":
-        values = vectorized.spectrum(vectorized.build_superoperator(model)).eigenvalues
+        values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":
         if not args.state:
             raise ValidationError("--method arnoldi requires --state")
-        rho0 = modelio.load_state(args.state)
+        rho0 = validate_state(modelio.load_state(args.state))
         k = args.krylov_dim if args.krylov_dim is not None else model.dim**2 - 1
-        reduction = arnoldi.arnoldi_reduce(model, rho0, k)
-        values = arnoldi.ritz_values(reduction).eigenvalues
+        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, k).hessenberg)
     elif args.method == "heisenberg":
         if not args.basis:
             raise ValidationError("--method heisenberg requires --basis")
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
         rep = heisenberg.close_set(model, ops)
         # conjugate so all three methods print directly comparable values
-        values = np.conj(heisenberg.adjoint_spectrum(rep).eigenvalues)
+        values = np.conj(eigvals(rep.coeffs))
     else:
         raise ValidationError(f"unknown method {args.method!r}")
-    lines = [f"{_fmt(z.real)},{_fmt(z.imag)}" for z in _sorted_eigenvalues(values)]
+    order = np.lexsort((values.imag, values.real))  # the conjugate reverses each pair
+    lines = [f"{_fmt(z.real)},{_fmt(z.imag)}" for z in values[order]]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

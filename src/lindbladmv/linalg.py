@@ -1,10 +1,13 @@
-"""Dense complex linear algebra kernels.
+"""Dense linear algebra kernels.
 
 Hilbert-Schmidt inner products, the Arnoldi process, matrix exponentials
 (full and action-on-vector), the time-grid stepper shared by every
-propagation path and a general non-Hermitian eigensolver.  All functions
-but :func:`orthogonalize`, which updates its vector in place, are pure:
-inputs are never modified and results are fresh arrays.
+propagation path and a general non-Hermitian eigensolver.  The dense
+exponential, the eigensolvers, the stepper and the Arnoldi process keep a
+real floating input real, so a generator written in real coordinates runs
+in real arithmetic; everything else is complex.  All functions but
+:func:`orthogonalize`, which updates its vector in place, are pure: inputs
+are never modified and results are fresh arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +30,18 @@ EPS = float(np.finfo(float).eps)
 BREAKDOWN_RTOL = 1e-12
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix with finite entries."""
-    arr = np.asarray(a, dtype=complex)
+def _as_array(a, keep_real: bool) -> np.ndarray:
+    if keep_real and np.asarray(a).dtype.kind == "f":
+        return np.asarray(a, dtype=float)
+    return np.asarray(a, dtype=complex)
+
+
+def as_square(a, name: str = "matrix", *, keep_real: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a square complex matrix with finite entries.
+
+    With ``keep_real`` a real floating ``a`` becomes a float matrix instead.
+    """
+    arr = _as_array(a, keep_real)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -39,9 +51,10 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a 1-D complex array with finite entries."""
-    arr = np.asarray(a, dtype=complex)
+def as_vector(a, name: str = "vector", *, keep_real: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 1-D complex array with finite entries (float, as for
+    :func:`as_square`, with ``keep_real``)."""
+    arr = _as_array(a, keep_real)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -108,10 +121,11 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int):
     ``hess`` is ``(k + 1, k)``, unless a residual is at most ``BREAKDOWN_RTOL``
     times the norm of its image: that breakdown at step ``j`` returns the
     ``j + 1`` rows, which span an invariant space, and a ``(j + 2, j + 1)``
-    ``hess`` whose last row holds the residual.
+    ``hess`` whose last row holds the residual.  Both take the dtype of
+    ``v0``; from a real ``v0``, ``apply`` must map real vectors to real ones.
     """
-    basis = np.empty((k + 1, v0.shape[0]), dtype=complex)
-    hess = np.zeros((k + 1, k), dtype=complex)
+    basis = np.empty((k + 1, v0.shape[0]), dtype=v0.dtype)
+    hess = np.zeros((k + 1, k), dtype=v0.dtype)
     basis[0] = v0
     for j in range(k):
         u = apply(basis[j])
@@ -126,12 +140,12 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int):
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(m * t)``.
+    """Matrix exponential ``exp(m * t)``, real for a real floating ``m``.
 
     Uses scaling-and-squaring with a Pade core, with the order chosen from
     the scaled norm.  Overflow is reported, never silently saturated.
     """
-    m = as_square(m, "m")
+    m = as_square(m, "m", keep_real=True)
     result = scipy.linalg.expm(m * t)
     if not np.isfinite(result).all():
         raise ExpOverflowError(
@@ -178,8 +192,12 @@ def expm_action(
     starts from the last time served.
 
     Raises :class:`ConvergenceError` when the step control stalls or the
-    grid is not covered within ``max_steps`` bases.
+    grid is not covered within ``max_steps`` bases, and
+    :class:`ValidationError` unless ``krylov_dim`` is an integer >= 1.
     """
+    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
+    if not integer or krylov_dim < 1:
+        raise ValidationError(f"krylov_dim must be an integer >= 1, got {krylov_dim!r}")
     if hasattr(m, "matvec"):
         apply, shape, is_zero = m.matvec, tuple(m.shape), False
     else:
@@ -255,7 +273,8 @@ def propagate_linear(a, y0, times) -> np.ndarray:
     """Solve ``y' = a y`` from ``y(0) = y0``: row ``i`` of the result is ``exp(a t_i) y0``.
 
     ``times`` must be finite, non-negative and ascending.  For a matrix
-    ``a`` the solution steps from each time to the next, and one
+    ``a`` the solution steps from each time to the next (in real arithmetic
+    when ``a`` and ``y0`` are real floating), and one
     ``exp(a dt)`` serves every run of equal steps (a uniform grid costs one
     exponential; steps within ``8 eps t``, the rounding of the times
     themselves, count as equal).  A matrix-free operator (see
@@ -265,14 +284,14 @@ def propagate_linear(a, y0, times) -> np.ndarray:
     times = as_times(times)
     matrix_free = hasattr(a, "matvec")
     if not matrix_free:
-        a = as_square(a, "a")
-    y = as_vector(y0, "y0")
+        a = as_square(a, "a", keep_real=True)
+    y = as_vector(y0, "y0", keep_real=True)
     if y.shape[0] != a.shape[0]:
         raise ValidationError(f"dimension mismatch: operator {a.shape}, vector {y.shape}")
     if matrix_free:
         out = expm_action(a, y, times)
     else:
-        out = np.empty((times.shape[0], y.shape[0]), dtype=complex)
+        out = np.empty((times.shape[0], y.shape[0]), dtype=np.result_type(a, y))
         previous, step, propagator = 0.0, None, None
         for i, t in enumerate(times):
             dt = t - previous
@@ -308,22 +327,39 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
+def _dense_eig(m, right: bool):
+    """``(m, eigenvalues, right eigenvectors or None)``, sorted by real part, then imaginary part.
+
+    A real floating ``m`` stays real: LAPACK's real solver returns complex
+    eigenvalues in exact conjugate pairs and real eigenvalues exactly real.
+    """
+    m = as_square(m, "m", keep_real=True)
+    try:
+        result = scipy.linalg.eig(m, right=right)
+    except Exception as exc:  # LAPACK geev convergence failure
+        raise EigenSolverError(f"dense eigensolver failed: {exc}") from exc
+    values, vectors = result if right else (result, None)
+    order = np.lexsort((values.imag, values.real))
+    return m, values[order], None if vectors is None else vectors[:, order]
+
+
+def eigvals(m) -> np.ndarray:
+    """All eigenvalues of ``m`` with multiplicity, sorted as :func:`eig` sorts them.
+
+    No eigenvectors, residuals or condition number are computed.
+    """
+    return _dense_eig(m, right=False)[1]
+
+
 def eig(m) -> EigenDecomposition:
     """All eigenvalues (with multiplicity) and right eigenvectors of ``m``.
 
     Standard dense route: Hessenberg reduction followed by shifted QR
-    iteration (LAPACK).  Output is sorted by real part, then imaginary
-    part.  Never fails at defective inputs; those are reported through
-    ``eigenvector_condition``.
+    iteration (LAPACK), in real arithmetic for a real floating ``m``.
+    Output is sorted by real part, then imaginary part.  Never fails at
+    defective inputs; those are reported through ``eigenvector_condition``.
     """
-    m = as_square(m, "m")
-    try:
-        values, vectors = scipy.linalg.eig(m)
-    except Exception as exc:  # LAPACK zgeev convergence failure
-        raise EigenSolverError(f"dense eigensolver failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
+    m, values, vectors = _dense_eig(m, right=True)
     residuals = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         condition = float(np.linalg.cond(vectors))

@@ -148,7 +148,12 @@ def load_state(path) -> np.ndarray:
 
 
 def save_state(path, matrix, basis_labels=None) -> None:
+    """Write a state file; a matrix :func:`load_state` would reject raises
+    :class:`ValidationError`."""
     matrix = np.asarray(matrix, dtype=complex)
+    square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1] >= 1
+    if not square or not np.isfinite(matrix).all():
+        raise ValidationError(f"state must be a finite square 2-D matrix, got shape {matrix.shape}")
     _save(path, matrix.shape[0], basis_labels, matrix=_matrix_to_rows(matrix))
 
 

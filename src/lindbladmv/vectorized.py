@@ -6,11 +6,18 @@ matrix lands at flat index ``b*n + a`` (0-based).  Left multiplication
 ``kron(B.T, I)``, and a sandwich ``A rho B`` becomes ``kron(B.T, A)``.
 The matrix-free propagation path applies the model's
 :class:`~lindbladmv.model.LiouvilleOperator` to the same vectors instead.
+
+The dense kernels work in coordinates on the orthonormal Hermitian basis
+(see :func:`to_hermitian_basis`), the unitary change of basis ``U`` from
+``vec``.  A Lindblad generator maps Hermitian matrices to Hermitian ones,
+so on that basis its matrix and the coordinates of a state are real.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +39,63 @@ def unvec(r, dim: int) -> np.ndarray:
     if r.shape[0] != dim * dim:
         raise ValidationError(f"vector length {r.shape[0]} is not {dim}^2")
     return r.reshape((dim, dim), order="F")
+
+
+#: Weight of each entry of an off-diagonal member of the Hermitian basis.
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@functools.cache
+def _hermitian_index(n: int):
+    """``vec`` indices of ``rho[i, i]``, then of ``rho[i, j]`` and ``rho[j, i]`` for ``i < j``."""
+    rows, cols = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
+
+
+def _hermitian_mix(x, anti: complex) -> np.ndarray:
+    """Rows ``x[diag]``, ``(x[lower] + x[upper]) / sqrt(2)`` and ``anti * (x[lower] - x[upper])``."""
+    diag, upper, lower = _hermitian_index(math.isqrt(x.shape[0]))
+    n, m = diag.shape[0], upper.shape[0]
+    below, above = x[lower], x[upper]
+    out = np.empty(x.shape, dtype=complex)
+    out[:n] = x[diag]
+    np.add(below, above, out=out[n : n + m])
+    out[n : n + m] *= _SQRT_HALF
+    np.subtract(below, above, out=out[n + m :])
+    out[n + m :] *= anti
+    return out
+
+
+def to_hermitian_basis(x) -> np.ndarray:
+    """``U x``: coordinates on the Hermitian basis of the ``vec`` vectors along axis 0 of ``x``.
+
+    With ``m = n(n-1)/2`` and the pairs ``i < j`` in the row-major order of
+    the upper triangle, member ``k < n`` of the basis is ``E_kk``, member
+    ``n + p`` is ``(E_ij + E_ji)/sqrt(2)`` and member ``n + m + p`` is
+    ``i(E_ij - E_ji)/sqrt(2)`` for the ``p``-th pair.  The coordinate of
+    ``rho`` on a member ``B`` is ``Tr(B rho)``; for a Hermitian ``rho`` they
+    are ``rho_kk``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij``, with an
+    imaginary part exactly zero when ``rho`` is exactly Hermitian.  Each row
+    of ``U`` has one or two nonzeros, so this is a gather and a 2x2 mix.
+    """
+    return _hermitian_mix(x, 1j * _SQRT_HALF)
+
+
+def from_hermitian_basis(r) -> np.ndarray:
+    """``U^H r``: the ``vec`` vectors with the Hermitian-basis coordinates along axis 0 of ``r``.
+
+    Inverse of :func:`to_hermitian_basis`; real coordinates give exactly
+    Hermitian matrices.
+    """
+    n = math.isqrt(r.shape[0])
+    diag, upper, lower = _hermitian_index(n)
+    sym = _SQRT_HALF * r[n : n + upper.shape[0]]
+    anti = (1j * _SQRT_HALF) * r[n + upper.shape[0] :]
+    out = np.empty(r.shape, dtype=complex)
+    out[diag] = r[:n]
+    out[upper] = sym + anti
+    out[lower] = sym - anti
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,6 +154,19 @@ def build_superoperator(model: LindbladModel) -> Superoperator:
     return superop
 
 
+def hermitian_matrix(superop: Superoperator) -> np.ndarray:
+    """``U S U^H``: the superoperator matrix ``S`` on the Hermitian basis.
+
+    Real for a superoperator :func:`build_superoperator` made, which preserves
+    Hermiticity by construction: only round-off is dropped with the
+    imaginary part.  Complex for a hand-built one, whose eigenvalues are
+    those of ``S`` all the same.
+    """
+    # the columns of U^H are the conjugated rows of U
+    r = _hermitian_mix(to_hermitian_basis(superop.matrix).T, -1j * _SQRT_HALF).T
+    return np.ascontiguousarray(r.real) if superop.model is not None else r
+
+
 def propagate(
     system: Superoperator | LindbladModel,
     rho0,
@@ -102,7 +179,9 @@ def propagate(
     ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`;
     both methods step through :func:`~lindbladmv.linalg.propagate_linear`.
     ``method="expm"`` uses the dense exponential of the superoperator
-    matrix (assembled here when ``system`` is a model).
+    matrix (assembled here when ``system`` is a model) on the Hermitian
+    basis, in real arithmetic for a model's matrix and an exactly Hermitian
+    ``rho0``.
     ``method="expm_action"`` never uses the dense matrix: it applies the
     model's matrix-free :attr:`LindbladModel.operator` (the model recorded
     by :func:`build_superoperator`; any other superoperator is applied
@@ -122,14 +201,16 @@ def propagate(
     rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
-    if method == "expm_action" and model is not None:
-        generator = model.operator
-        norm = generator.norm_bound
-    else:
-        generator = (superop if superop is not None else build_superoperator(model)).matrix
-        norm = np.linalg.norm(generator, 1)
     times = np.asarray(times, dtype=float).reshape(-1)
-    vectors = propagate_linear(generator, vec(rho0), times)
+    if method == "expm_action" and model is not None:
+        norm = model.operator.norm_bound
+        vectors = propagate_linear(model.operator, vec(rho0), times)
+    else:
+        superop = superop if superop is not None else build_superoperator(model)
+        norm = np.linalg.norm(superop.matrix, 1)
+        r0 = to_hermitian_basis(vec(rho0))
+        r0 = r0 if r0.imag.any() else r0.real
+        vectors = from_hermitian_basis(propagate_linear(hermitian_matrix(superop), r0, times).T).T
     states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
     budgets = TRACE_RTOL + EPS * norm * times
     for i in np.flatnonzero(~valid_states(states, budgets)):
@@ -145,6 +226,11 @@ def spectrum(superop: Superoperator) -> EigenDecomposition:
 
     For a valid model this is a contraction-semigroup spectrum: real parts
     are non-positive (up to round-off) and eigenvalues come in conjugate
-    pairs, with a zero eigenvalue for the stationary state.
+    pairs, with a zero eigenvalue for the stationary state.  The solver runs
+    on :func:`hermitian_matrix`, so a model's pairs are exact; the right
+    eigenvectors are mapped back to ``vec`` coordinates, and the residual
+    norms and the condition number, which ``U`` leaves unchanged, are those
+    computed on the Hermitian basis.
     """
-    return eig(superop.matrix)
+    dec = eig(hermitian_matrix(superop))
+    return replace(dec, right_eigenvectors=from_hermitian_basis(dec.right_eigenvectors))

@@ -110,6 +110,52 @@ class TestReduce:
                 assert hs_norm(image - expansion) <= 1e-10 * max(hs_norm(image), 1.0)
 
 
+class TestHermitianCoordinates:
+    def exactly_hermitian_density(self, rng, n):
+        rho = random_density(rng, n).matrix
+        return 0.5 * (rho + rho.conj().T)
+
+    def test_hermitian_start_gives_real_hessenberg_and_hermitian_basis(self, rng):
+        model = random_model(rng, 4, n_jumps=2)
+        reduction = arnoldi_reduce(model, self.exactly_hermitian_density(rng, 4), 15)
+        assert reduction.hessenberg.dtype == float
+        for matrix in reduction.basis:
+            assert np.array_equal(matrix, matrix.conj().T)
+
+    def test_other_start_takes_the_complex_kernel(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        rho0 = self.exactly_hermitian_density(rng, 3)
+        nudged = rho0.copy()
+        nudged[0, 1] += 1e-15  # Hermitian to round-off only
+        real = arnoldi_reduce(model, rho0, 8)
+        complex_ = arnoldi_reduce(model, nudged, 8)
+        assert np.iscomplexobj(complex_.hessenberg)
+        assert np.abs(complex_.hessenberg - real.hessenberg).max() <= 1e-12
+
+    def test_full_reduction_has_exactly_one_zero_ritz_value(self):
+        # without projecting each image onto its Hermitian part, round-off opens
+        # an anti-Hermitian direction and a second Ritz value appears at zero
+        rng = np.random.default_rng(100)
+        n = 16
+        model = random_model(rng, n, n_jumps=2)
+        reduction = arnoldi_reduce(model, self.exactly_hermitian_density(rng, n), n * n - 1)
+        assert reduction.size == n * n
+        values = ritz_values(reduction).eigenvalues
+        assert np.sum(np.abs(values) <= 1e-10) == 1
+
+    def test_trajectory_matches_per_time_exponential(self, rng):
+        n = 5
+        model = random_model(rng, n, n_jumps=2)
+        rho0 = self.exactly_hermitian_density(rng, n)
+        reduction = arnoldi_reduce(model, rho0, n * n - 1)
+        matrix = build_superoperator(model).matrix
+        times = [0.0, 0.25, 1.0, 1.0, 4.5]
+        states = propagate_reduced(reduction, times) * hs_norm(rho0)
+        for t, state in zip(times, states):
+            expected = scipy.linalg.expm(matrix * t) @ vec(rho0)
+            assert np.linalg.norm(vec(state) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 class TestProjectReconstruct:
     def setup_method(self):
         self.model = build_tls(TLSParams(0.7, 1.3, 0.9))

@@ -136,6 +136,33 @@ def test_spectrum_arnoldi_requires_state(tls_files, capsys):
     assert "--state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.0, 1.0]), np.diag([1.5, -0.5])],
+    ids=["non-hermitian", "trace-2", "negative"],
+)
+def test_spectrum_arnoldi_validates_state(tls_files, tmp_path, capsys, matrix):
+    paths, _ = tls_files
+    state = tmp_path / "bad_state.json"
+    save_state(state, matrix)
+    assert main(["spectrum", str(paths["model"]), "--method", "arnoldi", "--state", str(state)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["vec", "arnoldi"])
+def test_spectrum_prints_exact_conjugate_pairs(tmp_path, capsys, rng, method):
+    model_path, state_path = tmp_path / "model.json", tmp_path / "state.json"
+    save_model(model_path, random_model(rng, 3, n_jumps=2))
+    rho = random_density(rng, 3).matrix
+    save_state(state_path, 0.5 * (rho + rho.conj().T))
+    assert main(["spectrum", str(model_path), "--method", method, "--state", str(state_path)]) == 0
+    values = read_spectrum(capsys.readouterr().out)
+    assert len(values) == 9
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+    # the stationary eigenvalue is real, so an odd count of them is exactly real
+    assert np.sum(values.imag == 0.0) % 2 == 1
+
+
 def test_not_closed_basis_is_numerical_failure(tmp_path, capsys):
     model_path = tmp_path / "model.json"
     basis_path = tmp_path / "basis.json"

@@ -4,11 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lindbladmv.errors import ConvergenceError, ExpOverflowError, ValidationError
+from lindbladmv.errors import ConvergenceError, EigenSolverError, ExpOverflowError, ValidationError
 from lindbladmv.linalg import (
     BREAKDOWN_RTOL,
     arnoldi_iteration,
     eig,
+    eigvals,
     expm,
     expm_action,
     hs_inner,
@@ -294,6 +295,17 @@ class TestExpmAction:
         with pytest.raises(ValidationError):
             expm_action(np.eye(3), np.ones(4), 1.0)
 
+    @pytest.mark.parametrize("krylov_dim", [0, -1, 2.5, True, "3", None])
+    def test_krylov_dim_must_be_a_positive_integer(self, krylov_dim):
+        with pytest.raises(ValidationError, match="krylov_dim"):
+            expm_action(-np.eye(3), np.ones(3), 1.0, krylov_dim=krylov_dim)
+
+    @pytest.mark.parametrize("krylov_dim, v", [(1, [1.0, 0.0, 0.0]), (np.int64(2), [1.0, 1.0, 0.0])])
+    def test_smallest_krylov_dims_accepted(self, krylov_dim, v):
+        m = -np.diag([1.0, 2.0, 3.0])
+        out = expm_action(m, v, 1.0, krylov_dim=krylov_dim)
+        assert np.abs(out - np.exp([-1.0, -2.0, -3.0]) * v).max() <= 1e-14
+
 
 class TestPropagateLinear:
     def test_matches_exponential_at_every_time(self, rng):
@@ -327,12 +339,64 @@ class TestPropagateLinear:
         propagate_linear(m, np.ones(4), np.linspace(0.3, 5.0, 21))
         assert len(calls) == 2  # the step to t0 and the grid step
 
+    def test_real_system_stays_real(self, rng):
+        m = rng.normal(size=(5, 5)) - 2.0 * np.eye(5)
+        v = rng.normal(size=5)
+        times = [0.0, 0.5, 1.0, 2.5]
+        out = propagate_linear(m, v, times)
+        assert out.dtype == float
+        for t, y in zip(times, out):
+            assert np.abs(y - scipy.linalg.expm(m * t) @ v).max() <= 1e-12 * np.abs(v).max()
+        assert np.iscomplexobj(propagate_linear(m, v + 0j, times))
+        assert np.iscomplexobj(propagate_linear(m + 0j, v, times))
+
     def test_rejects_bad_times(self):
         for times in ([-1.0], [1.0, 0.5], [0.0, np.nan], [np.inf]):
             with pytest.raises(ValidationError):
                 propagate_linear(np.eye(2), np.ones(2), times)
         with pytest.raises(ValidationError):
             propagate_linear(np.eye(2), np.ones(3), [1.0])
+
+
+class TestRealArithmetic:
+    def test_expm_and_eig_keep_a_real_matrix_real(self, rng):
+        m = rng.normal(size=(6, 6))
+        assert expm(m).dtype == float
+        assert np.abs(expm(m) - scipy.linalg.expm(m)).max() == 0.0
+        assert np.iscomplexobj(expm(m.astype(complex)))
+        dec = eig(m)
+        assert multiset_close(dec.eigenvalues, scipy.linalg.eigvals(m.astype(complex)), 1e-12)
+        assert dec.residual_norms.max() <= 1e-12 * np.linalg.norm(m)
+
+    def test_eigvals_are_eigs_values_without_vectors(self, rng):
+        for m in (rng.normal(size=(7, 7)), rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))):
+            values = eigvals(m)
+            assert multiset_close(values, eig(m).eigenvalues, 1e-12)
+            keys = [(z.real, z.imag) for z in values]
+            assert keys == sorted(keys)
+
+    def test_real_eigenvalues_exact_and_pairs_conjugate(self, rng):
+        values = eigvals(rng.normal(size=(9, 9)))
+        assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+        assert np.sum(values.imag == 0.0) % 2 == 1  # an odd order has an odd count of real ones
+
+    def test_solver_failure_is_eigensolver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eig", fail)
+        for solver in (eig, eigvals):
+            with pytest.raises(EigenSolverError, match="did not converge"):
+                solver(np.eye(3))
+
+    def test_arnoldi_iteration_takes_the_dtype_of_its_start(self, rng):
+        m = rng.normal(size=(8, 8))
+        v0 = rng.normal(size=8)
+        basis, hess, _ = arnoldi_iteration(m.dot, v0 / np.linalg.norm(v0), 5)
+        assert basis.dtype == float and hess.dtype == float
+        check_arnoldi_relation(m.dot, basis, hess)
+        basis, hess, _ = arnoldi_iteration(m.dot, (v0 / np.linalg.norm(v0)).astype(complex), 5)
+        assert np.iscomplexobj(basis) and np.iscomplexobj(hess)
 
 
 class TestEig:

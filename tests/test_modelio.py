@@ -101,6 +101,18 @@ def test_state_round_trip(tmp_path):
     assert np.array_equal(load_state(path), GROUND)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.array(1.0), np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 2, 2)),
+     np.zeros((0, 0)), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+)
+def test_save_state_rejects_what_load_rejects(tmp_path, matrix):
+    path = tmp_path / "state.json"
+    with pytest.raises(ValidationError, match="finite square 2-D matrix"):
+        save_state(path, matrix)
+    assert not path.exists()
+
+
 def test_state_requires_matrix(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dim": 2}))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from lindbladmv.errors import (
     StateValidationError,
     ValidationError,
 )
-from lindbladmv.linalg import EPS, propagate_linear
+from lindbladmv.linalg import EPS, eigvals, hs_inner, propagate_linear
 from lindbladmv.model import (
     TRACE_RTOL,
     LindbladModel,
@@ -27,14 +28,18 @@ from lindbladmv.model import (
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import EXCITED, GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import (
+    Superoperator,
     build_superoperator,
+    from_hermitian_basis,
+    hermitian_matrix,
     propagate,
     spectrum,
+    to_hermitian_basis,
     unvec,
     vec,
 )
 
-from conftest import ep_params, multiset_close, tls_superop_golden
+from conftest import ep_params, multiset_close, random_hermitian, tls_superop_golden
 
 
 class TestVec:
@@ -313,3 +318,82 @@ class TestSpectrum:
             values = spectrum(build_superoperator(model)).eigenvalues
             near_zero = np.sum(np.abs(values) <= 1e-9)
             assert near_zero == 1
+
+
+def hermitian_basis(n):
+    """The documented members: E_kk, then (E_ij + E_ji)/sqrt(2), then i(E_ij - E_ji)/sqrt(2)."""
+    def unit(i, j):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0
+        return e
+
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    return (
+        [unit(k, k) for k in range(n)]
+        + [(unit(i, j) + unit(j, i)) / np.sqrt(2.0) for i, j in pairs]
+        + [1j * (unit(i, j) - unit(j, i)) / np.sqrt(2.0) for i, j in pairs]
+    )
+
+
+class TestHermitianBasis:
+    def test_members_in_documented_order(self):
+        n = 3
+        members = hermitian_basis(n)
+        coordinates = to_hermitian_basis(np.stack([vec(b) for b in members], axis=1))
+        assert np.abs(coordinates - np.eye(n * n)).max() <= 1e-15
+        for b in members:
+            assert np.array_equal(b, b.conj().T)
+
+    def test_coordinates_of_a_hermitian_matrix(self, rng):
+        rho = random_hermitian(rng, 4)
+        r = to_hermitian_basis(vec(rho))
+        assert not r.imag.any()
+        upper = rho[np.triu_indices(4, 1)]
+        expected = np.concatenate([np.diag(rho).real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag])
+        assert np.abs(r.real - expected).max() <= 1e-14
+        back = unvec(from_hermitian_basis(r.real), 4)
+        assert np.array_equal(back, back.conj().T)
+        assert np.abs(back - rho).max() <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), n_jumps=st.integers(0, 2))
+    def test_unitary_and_real_generator(self, seed, n, n_jumps):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        ra, rb = to_hermitian_basis(vec(a)), to_hermitian_basis(vec(b))
+        assert np.abs(from_hermitian_basis(ra) - vec(a)).max() <= 1e-14 * np.abs(a).max()
+        assert abs(np.vdot(ra, rb) - hs_inner(a, b)) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+        superop = build_superoperator(random_model(rng, n, n_jumps=n_jumps))
+        r = hermitian_matrix(superop)
+        assert r.dtype == float
+        values = eigvals(r)
+        assert multiset_close(values, scipy.linalg.eigvals(superop.matrix), 1e-9)
+        # a real matrix has its complex eigenvalues in exact conjugate pairs
+        assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+
+    def test_hand_built_non_hermiticity_preserving_superoperator(self, rng):
+        n = 3
+        matrix = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        superop = Superoperator(n, matrix)
+        assert np.iscomplexobj(hermitian_matrix(superop))
+        expected = scipy.linalg.eigvals(matrix)
+        assert not multiset_close(expected, expected.conj(), 1e-3)
+        dec = spectrum(superop)
+        assert multiset_close(dec.eigenvalues, expected, 1e-10)
+        vectors = dec.right_eigenvectors
+        residuals = np.linalg.norm(matrix @ vectors - vectors * dec.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-10 * np.linalg.norm(matrix)
+        assert np.allclose(residuals, dec.residual_norms, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_dense_propagation_matches_per_time_exponential(self, rng, n):
+        model = random_model(rng, n, n_jumps=2)
+        rho0 = random_density(rng, n).matrix
+        rho0 = 0.5 * (rho0 + rho0.conj().T)  # exactly Hermitian
+        assert not to_hermitian_basis(vec(rho0)).imag.any()  # the real path
+        matrix = build_superoperator(model).matrix
+        times = [0.0, 0.3, 0.3, 1.7, 5.0]
+        for t, state in zip(times, propagate(model, rho0, times)):
+            expected = scipy.linalg.expm(matrix * t) @ vec(rho0)
+            assert np.linalg.norm(vec(state.matrix) - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
