@@ -15,14 +15,16 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import expm, expm_action, hs_norm
-from .model import _state_matrix, random_density, random_model
+from .linalg import _as_array, expm, expm_action, hs_norm
+from .model import random_density, random_model
 from .vectorized import Superoperator, build_superoperator, spectrum, unvec, vec
 
 #: Eigenvector condition number beyond which a spectrum counts as defective.
 DEFECTIVE_CONDITION_LIMIT = 1e8
 #: Modes with amplitude below this fraction of the total are pruned.
 AMPLITUDE_PRUNE_RTOL = 1e-12
+#: Propagation time of every benchmark cell.
+BENCH_TIME = 1.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class ModeDecomposition:
 
     def evaluate(self, times) -> np.ndarray:
         """Reconstruct the trajectory at the given times."""
-        times = np.asarray(times, dtype=float).reshape(-1)
+        times = _as_array(times, "times", dtype=float).reshape(-1)
         return np.exp(np.outer(times, self.eigenvalues)) @ self.amplitudes
 
 
@@ -59,13 +61,8 @@ def observable_modes(superop: Superoperator, rho0, observable) -> ModeDecomposit
     Raises :class:`DefectiveSpectrumError` when the eigenvector basis is too
     ill-conditioned to trust (use :func:`detect_degeneracy` there instead).
     """
-    rho0 = _state_matrix(rho0)
-    n = superop.dim_hilbert
-    if rho0.shape != (n, n):
-        raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
-    x = np.asarray(observable, dtype=complex)
-    if x.shape != (n, n):
-        raise ValidationError(f"observable shape {x.shape} does not match dim {n}")
+    rho0 = _as_array(rho0, "rho0", (2,), superop.dim_hilbert)
+    x = _as_array(observable, "observable", (2,), superop.dim_hilbert)
     dec = spectrum(superop)
     if dec.eigenvector_condition > DEFECTIVE_CONDITION_LIMIT:
         raise DefectiveSpectrumError(
@@ -164,24 +161,24 @@ def _diagonal_propagate(matrix, r0, t):
     return vectors @ (np.exp(values * t) * np.linalg.solve(vectors, r0))
 
 
-def _method_runner(method, model, superop, r0, rho0, t):
+def _method_runner(method, model, superop, r0, rho0):
     n = model.dim
     if method == "full-diagonalization":
-        return lambda: _diagonal_propagate(superop.matrix, r0, t)
+        return lambda: _diagonal_propagate(superop.matrix, r0, BENCH_TIME)
     if method == "full-expm":
-        return lambda: expm(superop.matrix, t) @ r0
+        return lambda: expm(superop.matrix, BENCH_TIME) @ r0
     if method == "expm-action":
-        return lambda: expm_action(model.operator, r0, t)
+        return lambda: expm_action(model.operator, r0, BENCH_TIME)
     if method.startswith("arnoldi-"):
         try:
             k = int(method.split("-", 1)[1])
         except ValueError:
             raise ValidationError(f"bad arnoldi method tag {method!r}")
         k = min(k, n * n - 1)
-        norm0 = hs_norm(_state_matrix(rho0))
+        norm0 = hs_norm(rho0)
         def run():
             reduction = arnoldi_reduce(model, rho0, k)
-            return vec(propagate_reduced(reduction, [t])[0]) * norm0
+            return vec(propagate_reduced(reduction, [BENCH_TIME])[0]) * norm0
         return run
     raise ValidationError(f"unknown benchmark method {method!r}")
 
@@ -191,7 +188,6 @@ def run_benchmark(
     methods,
     seed: int = 0,
     *,
-    t: float = 1.0,
     repeats: int = 5,
     timeout_s: float | None = None,
     model_factory=None,
@@ -199,12 +195,12 @@ def run_benchmark(
     """Time every method propagating the same random model at each dimension.
 
     Per cell: one discarded warm-up run, then the median of ``repeats``
-    timed runs on the monotonic clock.  ``result_error`` is the HS-norm
-    distance of the produced state from a dense eigendecomposition
-    reference.  A warm-up run exceeding ``timeout_s`` marks the cell
-    ``"timeout"`` instead of aborting the sweep.  ``model_factory``
-    (callable ``(rng, n) -> LindbladModel``) overrides the random model
-    generator.
+    timed runs on the monotonic clock, each propagating to ``BENCH_TIME``.
+    ``result_error`` is the HS-norm distance of the produced state from a
+    dense eigendecomposition reference.  A warm-up run exceeding
+    ``timeout_s`` marks the cell ``"timeout"`` instead of aborting the
+    sweep.  ``model_factory`` (callable ``(rng, n) -> LindbladModel``)
+    overrides the random model generator.
     """
     dims = [int(n) for n in dims]
     if any(n < 2 for n in dims):
@@ -218,9 +214,9 @@ def run_benchmark(
         rho0 = random_density(rng, n)
         superop = build_superoperator(model)
         r0 = vec(rho0.matrix)
-        reference = unvec(_diagonal_propagate(superop.matrix, r0, t), n)
+        reference = unvec(_diagonal_propagate(superop.matrix, r0, BENCH_TIME), n)
         for method in methods:
-            run = _method_runner(method, model, superop, r0, rho0, t)
+            run = _method_runner(method, model, superop, r0, rho0)
             start = time.perf_counter()
             result = run()  # warm-up, discarded from timing
             warmup = time.perf_counter() - start

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, arnoldi_iteration, eig, hs_inner, hs_norm, propagate_linear
-from .model import LindbladModel, _state_matrix
+from .linalg import EigenDecomposition, _as_array, arnoldi_iteration, check_krylov_dim, eig
+from .linalg import hs_inner, hs_norm, propagate_linear
+from .model import LindbladModel
 from .vectorized import from_hermitian_basis, to_hermitian_basis, vec
 
 
@@ -43,9 +44,9 @@ class KrylovReduction:
 def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReduction:
     """Gram-Schmidt reduction of the generator on the Krylov space of ``rho0``.
 
-    Builds at most ``krylov_dim + 1`` basis matrices.  ``krylov_dim`` is
-    capped at ``n^2 - 1`` (the full Liouville dimension).  The kernel
-    :func:`~lindbladmv.linalg.arnoldi_iteration` runs on ``vec`` vectors,
+    Builds at most ``krylov_dim + 1`` basis matrices from an integer
+    ``krylov_dim`` in ``[0, n^2 - 1]`` (the full Liouville dimension).  The
+    kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on ``vec`` vectors,
     whose inner product is the Hilbert-Schmidt one, or, when ``rho0`` equals
     its conjugate transpose exactly, on their real coordinates on the
     Hermitian basis (:func:`~lindbladmv.vectorized.to_hermitian_basis`):
@@ -55,16 +56,9 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     only an earlier breakdown truncates the reduction to the invariant
     subspace found.
     """
-    if krylov_dim < 0:
-        raise ValidationError(f"krylov_dim must be >= 0, got {krylov_dim}")
     n = model.dim
-    if krylov_dim > n * n - 1:
-        raise ValidationError(
-            f"krylov_dim {krylov_dim} exceeds the Liouville dimension bound {n * n - 1}"
-        )
-    rho0 = _state_matrix(rho0)
-    if rho0.shape != (n, n):
-        raise ValidationError(f"state shape {rho0.shape} does not match model dim {n}")
+    check_krylov_dim(krylov_dim, 0, n * n - 1)
+    rho0 = _as_array(rho0, "rho0", (2,), n)
     norm0 = hs_norm(rho0)
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
@@ -91,11 +85,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
 
 def project(reduction: KrylovReduction, rho) -> np.ndarray:
     """Coefficients of ``rho`` on the reduction basis (its HS projections)."""
-    rho = _state_matrix(rho)
-    n = reduction.model_dim
-    if rho.shape != (n, n):
-        raise ValidationError(f"matrix shape {rho.shape} does not match model dim {n}")
-    return hs_inner(np.asarray(reduction.basis), rho)
+    return hs_inner(np.asarray(reduction.basis), _as_array(rho, "rho", (2,), reduction.model_dim))
 
 
 def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:
@@ -104,7 +94,7 @@ def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:
     ``coefficients`` is one vector of length ``reduction.size``, or a
     ``(T, size)`` array whose rows give a ``(T, n, n)`` stack of matrices.
     """
-    coefficients = np.asarray(coefficients, dtype=complex)
+    coefficients = _as_array(coefficients, "coefficients")
     if coefficients.ndim not in (1, 2) or coefficients.shape[-1] != reduction.size:
         raise ValidationError(
             f"coefficients of shape {coefficients.shape} for a basis of size {reduction.size}"

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DependentBasisError, NotClosedError, ValidationError
-from .linalg import EPS, EigenDecomposition, as_square_stack, eig, hs_inner, propagate_linear
-from .model import DensityMatrix, LindbladModel
+from .linalg import EPS, EigenDecomposition, _as_array, eig, hs_inner, propagate_linear
+from .model import LindbladModel
 
 #: Relative out-of-span residual below which a basis counts as closed.
 CLOSURE_RTOL = 1e-10
@@ -48,22 +48,20 @@ class AdjointRep:
 
 def _operator_stack(basis, n: int) -> np.ndarray:
     """The operators of ``basis`` as one validated ``(k, n, n)`` stack, ``k >= 1``."""
-    ops = as_square_stack(basis, "basis operators")
-    if ops.ndim != 3 or ops.shape[1:] != (n, n) or len(ops) == 0:
-        raise ValidationError(
-            f"basis operators have shape {ops.shape}, expected (k >= 1, {n}, {n})"
-        )
+    ops = _as_array(basis, "basis operators", (3,), n)
+    if len(ops) == 0:
+        raise ValidationError(f"basis must hold at least one operator, got shape {ops.shape}")
     return ops
 
 
-def close_set(model: LindbladModel, basis, *, tol: float = CLOSURE_RTOL) -> AdjointRep:
+def close_set(model: LindbladModel, basis) -> AdjointRep:
     """Decompose the adjoint image of each basis operator inside the span.
 
     The least-squares decomposition is solved through the Gram matrix of
     the basis, for all images at once.  Fails with
     :class:`DependentBasisError` for a numerically dependent basis and with
     :class:`NotClosedError` when any image ``L^dag(X_k)`` leaves the span by
-    more than ``tol`` relative to its norm and by more than the round-off
+    more than ``CLOSURE_RTOL`` relative to its norm and by more than the round-off
     floor ``CLOSURE_ROUNDOFF * eps * nu * ||X_k||_F``.
     """
     ops = _operator_stack(basis, model.dim)
@@ -81,7 +79,7 @@ def close_set(model: LindbladModel, basis, *, tol: float = CLOSURE_RTOL) -> Adjo
     residuals = np.linalg.norm(remainders, axis=(1, 2))
     image_norms = np.linalg.norm(images, axis=(1, 2))
     floor = CLOSURE_ROUNDOFF * EPS * op.norm_bound * np.linalg.norm(ops, axis=(1, 2))
-    outside = np.flatnonzero(residuals > np.maximum(tol * image_norms, floor))
+    outside = np.flatnonzero(residuals > np.maximum(CLOSURE_RTOL * image_norms, floor))
     if outside.size:
         k = int(outside[0])
         raise NotClosedError(k, residuals[k] / max(image_norms[k], 1e-300))
@@ -94,7 +92,7 @@ def expectations(basis, rho) -> np.ndarray:
     ``rho`` may also be a ``(T, n, n)`` stack of states; row ``t`` of the
     result then holds the values in state ``t``.
     """
-    rho = rho.matrix if isinstance(rho, DensityMatrix) else as_square_stack(rho, "rho")
+    rho = _as_array(rho, "rho", (2, 3))
     ops = _operator_stack(basis, rho.shape[-1])
     # Tr(X rho) = sum_ij X[i, j] rho[j, i]
     return np.tensordot(rho, ops, axes=([-1, -2], [1, 2]))
@@ -106,11 +104,7 @@ def propagate_expectations(rep: AdjointRep, initial, times) -> np.ndarray:
     For a closed set this matches the Schroedinger-picture readout
     ``Tr(X_k rho(t))`` at every time.
     """
-    initial = np.asarray(initial, dtype=complex).reshape(-1)
-    if initial.shape[0] != rep.size:
-        raise ValidationError(
-            f"expectation vector length {initial.shape[0]} does not match basis size {rep.size}"
-        )
+    initial = _as_array(initial, "initial", (1,), rep.size)
     return propagate_linear(rep.coeffs, initial, times)
 
 

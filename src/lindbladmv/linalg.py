@@ -19,21 +19,43 @@ import scipy.linalg
 
 from .errors import ConvergenceError, EigenSolverError, ExpOverflowError, ValidationError
 
-#: Tolerance for exact arithmetic identities (bilinearity, group law checks).
-ATOL_EXACT = 1e-12
-#: Tolerance for iteratively computed quantities (eigenpairs, Krylov actions).
-TOL_ITERATIVE = 1e-9
 #: Machine epsilon of double precision, the unit of every round-off budget.
 EPS = float(np.finfo(float).eps)
 #: Arnoldi breakdown: a residual at most this fraction of the norm of the image
 #: it was orthogonalized from leaves an invariant Krylov space.
 BREAKDOWN_RTOL = 1e-12
+#: Residual bound of every output of :func:`expm_action`, relative to the norm
+#: of the vector its Krylov basis starts from.
+ACTION_RTOL = 1e-12
 
 
-def _as_array(a, keep_real: bool) -> np.ndarray:
-    if keep_real and np.asarray(a).dtype.kind == "f":
-        return np.asarray(a, dtype=float)
-    return np.asarray(a, dtype=complex)
+def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
+    """``a`` as an array of finite ``dtype`` entries: the one check of every input array.
+
+    ``ndims`` (``None`` for any shape) lists the admissible numbers of axes:
+    1 for a vector, 2 for a square matrix, 3 for a ``(k, n, n)`` stack.  The
+    last axis, and for a matrix or stack the one before it, then has a
+    length of at least 1, and of ``n`` when given.  ``dtype=None`` keeps a
+    real floating ``a`` float and makes anything else complex.  Ragged,
+    non-numeric, misshapen and non-finite input all raise
+    :class:`ValidationError`.
+    """
+    try:
+        if dtype is None:
+            dtype = float if np.asarray(a).dtype.kind == "f" else complex
+        arr = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged, non-numeric, complex as float
+        raise ValidationError(f"{name} must be numeric with one shape") from exc
+    if ndims is not None:
+        last = arr.shape[-1] if arr.ndim else 0
+        square = arr.ndim < 2 or arr.shape[-2] == last
+        if arr.ndim not in ndims or not square or last < 1 or (n is not None and last != n):
+            m = "n" if n is None else n
+            forms = " or ".join((f"({m},)", f"({m}, {m})", f"(k, {m}, {m})")[d - 1] for d in ndims)
+            raise ValidationError(f"{name} must have shape {forms}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return arr
 
 
 def as_square(a, name: str = "matrix", *, keep_real: bool = False) -> np.ndarray:
@@ -41,38 +63,15 @@ def as_square(a, name: str = "matrix", *, keep_real: bool = False) -> np.ndarray
 
     With ``keep_real`` a real floating ``a`` becomes a float matrix instead.
     """
-    arr = _as_array(a, keep_real)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    return arr
+    return _as_array(a, name, (2,), dtype=None if keep_real else complex)
 
 
-def as_vector(a, name: str = "vector", *, keep_real: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a 1-D complex array with finite entries (float, as for
-    :func:`as_square`, with ``keep_real``)."""
-    arr = _as_array(a, keep_real)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_square_stack(a, name: str = "matrices") -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix or a ``(k, n, n)`` stack of them."""
-    try:
-        arr = np.asarray(a, dtype=complex)
-    except ValueError as exc:  # ragged or non-numeric
-        raise ValidationError(f"{name} must be numeric matrices of one shape") from exc
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise ValidationError(f"{name} must be square matrices, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
+def check_krylov_dim(krylov_dim, low: int, high: int | None = None) -> None:
+    """Raise :class:`ValidationError` unless ``krylov_dim`` is an integer in ``[low, high]``."""
+    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
+    if not integer or krylov_dim < low or (high is not None and krylov_dim > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"krylov_dim must be an integer {bound}, got {krylov_dim!r}")
 
 
 def hs_inner(a, b):
@@ -82,10 +81,8 @@ def hs_inner(a, b):
     stack axes, ``a``'s first (``[i, j]`` is ``Tr(a[i]^dag b[j])`` for two
     stacks).  Two single matrices give a complex scalar.
     """
-    a = as_square_stack(a, "a")
-    b = as_square_stack(b, "b")
-    if a.shape[-1] != b.shape[-1]:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a = _as_array(a, "a", (2, 3))
+    b = _as_array(b, "b", (2, 3), a.shape[-1])
     size = a.shape[-1] ** 2
     out = a.reshape(-1, size).conj() @ b.reshape(-1, size).T
     out = out.reshape(a.shape[:-2] + b.shape[:-2])
@@ -156,9 +153,9 @@ def expm(m, t: float = 1.0) -> np.ndarray:
 
 def as_times(times, name: str = "times") -> np.ndarray:
     """Coerce ``times`` to a 1-D float grid that is finite, non-negative and ascending."""
-    grid = np.asarray(times, dtype=float).reshape(-1)
-    if not np.isfinite(grid).all() or (grid < 0.0).any() or (np.diff(grid) < 0.0).any():
-        raise ValidationError(f"{name} must be finite, non-negative and ascending")
+    grid = _as_array(times, name, dtype=float).reshape(-1)
+    if (grid < 0.0).any() or (np.diff(grid) < 0.0).any():
+        raise ValidationError(f"{name} must be non-negative and ascending")
     return grid
 
 
@@ -167,7 +164,6 @@ def expm_action(
     v,
     t=1.0,
     *,
-    tol: float = 1e-12,
     krylov_dim: int = 30,
     max_steps: int = 10_000,
 ) -> np.ndarray:
@@ -184,7 +180,7 @@ def expm_action(
     Each Krylov basis comes from :func:`arnoldi_iteration` with at most
     ``krylov_dim`` products with ``m``.  Its first substep aims at the next
     grid time and halves until the residual estimate
-    ``beta |h_{k,k-1}| |[exp(tau H_k)]_{k-1,0}|`` is at most ``tol * beta``,
+    ``beta |h_{k,k-1}| |[exp(tau H_k)]_{k-1,0}|`` is at most ``ACTION_RTOL * beta``,
     ``beta`` being the norm of the vector the basis starts from.  When that
     substep lands on the grid time (after a breakdown it is tried first),
     the same basis also serves each later grid time whose own estimate
@@ -195,22 +191,17 @@ def expm_action(
     grid is not covered within ``max_steps`` bases, and
     :class:`ValidationError` unless ``krylov_dim`` is an integer >= 1.
     """
-    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
-    if not integer or krylov_dim < 1:
-        raise ValidationError(f"krylov_dim must be an integer >= 1, got {krylov_dim!r}")
+    check_krylov_dim(krylov_dim, 1)
     if hasattr(m, "matvec"):
         apply, shape, is_zero = m.matvec, tuple(m.shape), False
     else:
         m = as_square(m, "m")
         apply, shape, is_zero = m.dot, m.shape, not m.any()
-    v = as_vector(v, "v")
     n = shape[0]
-    if v.shape[0] != n:
-        raise ValidationError(f"dimension mismatch: operator {shape}, vector {v.shape}")
-    scalar = np.ndim(t) == 0
-    if scalar and not np.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t!r}")
-    grid = np.array([t], dtype=float) if scalar else as_times(t, "t")
+    v = _as_array(v, "v", (1,), n)
+    t = _as_array(t, "t", dtype=float)
+    scalar = t.ndim == 0
+    grid = t.reshape(1) if scalar else as_times(t, "t")
     out = np.empty((grid.shape[0], n), dtype=complex)
     if is_zero:
         out[:] = v
@@ -243,7 +234,7 @@ def expm_action(
         for _halving in range(80):
             phi = scipy.linalg.expm(tau * h)[:, 0]
             err = residual * abs(phi[k - 1])
-            if err <= tol:
+            if err <= ACTION_RTOL:
                 break
             tau *= 0.5
         else:
@@ -258,7 +249,7 @@ def expm_action(
         while j < grid.shape[0]:
             if grid[j] != grid[j - 1]:
                 phi = scipy.linalg.expm((grid[j] - grid[i] + tau) * h)[:, 0]
-                if residual * abs(phi[k - 1]) > tol:
+                if residual * abs(phi[k - 1]) > ACTION_RTOL:
                     break
             coefficients.append(beta * phi)
             j += 1
@@ -285,9 +276,7 @@ def propagate_linear(a, y0, times) -> np.ndarray:
     matrix_free = hasattr(a, "matvec")
     if not matrix_free:
         a = as_square(a, "a", keep_real=True)
-    y = as_vector(y0, "y0", keep_real=True)
-    if y.shape[0] != a.shape[0]:
-        raise ValidationError(f"dimension mismatch: operator {a.shape}, vector {y.shape}")
+    y = _as_array(y0, "y0", (1,), a.shape[0], dtype=None)
     if matrix_free:
         out = expm_action(a, y, times)
     else:

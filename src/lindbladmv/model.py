@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StateValidationError, ValidationError
-from .linalg import as_square
+from .linalg import _as_array, as_square
 
 #: Relative tolerance for Hermiticity of the Hamiltonian and of states.
 HERMITICITY_RTOL = 1e-12
@@ -62,12 +62,7 @@ class LindbladModel:
                 rate = np.nan
             if not 0.0 <= rate < np.inf:
                 raise ValidationError(f"jump rate {k} must be finite and non-negative: {rate}")
-            op = as_square(op, f"jump operator {k}")
-            if op.shape != h.shape:
-                raise ValidationError(
-                    f"jump operator {k} has shape {op.shape}, expected {h.shape}"
-                )
-            normalized.append((rate, op))
+            normalized.append((rate, _as_array(op, f"jump operator {k}", (2,), h.shape[0])))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(normalized))
 
@@ -141,62 +136,65 @@ class LiouvilleOperator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state; construct via :func:`validate_state`."""
+    """A validated quantum state; construct via :func:`validate_state`.
+
+    NumPy reads it as its matrix, so it goes wherever a matrix does.
+    """
 
     matrix: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def validate_state(
-    rho,
-    *,
-    herm_rtol: float = HERMITICITY_RTOL,
-    trace_rtol: float = TRACE_RTOL,
-    positivity_floor: float = POSITIVITY_FLOOR,
-) -> DensityMatrix:
+def validate_state(rho, *, trace_rtol: float = TRACE_RTOL) -> DensityMatrix:
     """Check the density-matrix invariants and wrap ``rho`` on success.
 
     Raises :class:`StateValidationError` listing every violated invariant
-    (Hermiticity, unit trace, positive semidefiniteness) with magnitudes.
+    (see :func:`state_violations`) with magnitudes.
     """
     if isinstance(rho, DensityMatrix):
         return rho
     rho = as_square(rho, "state")
-    violations = []
-    scale = max(np.linalg.norm(rho), 1.0)
-    herm_defect = np.linalg.norm(rho - rho.conj().T)
-    if herm_defect > herm_rtol * scale:
-        violations.append(("hermiticity", float(herm_defect), herm_rtol * scale))
-    trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > trace_rtol * scale:
-        violations.append(("trace", float(trace_defect), trace_rtol * scale))
-    if not violations:
-        lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-        if lowest < positivity_floor:
-            violations.append(("positivity", lowest, positivity_floor))
+    violations = state_violations(rho[np.newaxis], trace_rtol)
     if violations:
-        raise StateValidationError(violations)
+        raise StateValidationError(violations[0])
     return DensityMatrix(rho)
 
 
-def valid_states(stack: np.ndarray, trace_rtol) -> np.ndarray:
-    """Mask of the matrices of a ``(T, n, n)`` stack that pass :func:`validate_state`.
+def state_violations(stack: np.ndarray, trace_rtol) -> dict[int, list]:
+    """The density-matrix invariants of every matrix of a ``(T, n, n)`` stack, in one pass.
 
-    ``trace_rtol`` may hold one budget per matrix; one batched ``eigvalsh`` serves them all.
+    Maps the index of each matrix that fails to its ``(invariant, magnitude,
+    tolerance)`` violations: Hermiticity to ``HERMITICITY_RTOL``, unit trace
+    to ``trace_rtol`` (both relative to ``max(||rho||_F, 1)``), then
+    positive semidefiniteness to ``POSITIVITY_FLOOR``, which is reported only
+    when the other two hold.  Matrices that pass are absent.  ``trace_rtol``
+    may hold one budget per matrix; one batched ``eigvalsh`` serves them all.
     """
     adjoint = stack.conj().transpose(0, 2, 1)
     scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
-    ok = np.linalg.norm(stack - adjoint, axis=(1, 2)) <= HERMITICITY_RTOL * scale
-    ok &= np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= trace_rtol * scale
-    ok &= np.linalg.eigvalsh(0.5 * (stack + adjoint)).min(axis=1) >= POSITIVITY_FLOOR
-    return ok
-
-
-def _state_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else as_square(rho, "rho")
+    herm, herm_bound = np.linalg.norm(stack - adjoint, axis=(1, 2)), HERMITICITY_RTOL * scale
+    trace = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    trace_bound = trace_rtol * scale
+    lowest = np.linalg.eigvalsh(0.5 * (stack + adjoint)).min(axis=1)
+    herm_bad, trace_bad = herm > herm_bound, trace > trace_bound
+    negative = ~herm_bad & ~trace_bad & (lowest < POSITIVITY_FLOOR)
+    report = {}
+    for i in np.flatnonzero(herm_bad | trace_bad | negative).tolist():
+        violations = []
+        if herm_bad[i]:
+            violations.append(("hermiticity", float(herm[i]), float(herm_bound[i])))
+        if trace_bad[i]:
+            violations.append(("trace", float(trace[i]), float(trace_bound[i])))
+        if negative[i]:
+            violations.append(("positivity", float(lowest[i]), POSITIVITY_FLOOR))
+        report[i] = violations
+    return report
 
 
 def apply_generator(model: LindbladModel, rho) -> np.ndarray:
@@ -205,10 +203,7 @@ def apply_generator(model: LindbladModel, rho) -> np.ndarray:
     ``rho`` need not be a physical state; the map is linear.  The result is
     traceless, and Hermitian whenever ``rho`` is.
     """
-    rho = _state_matrix(rho)
-    if rho.shape != model.hamiltonian.shape:
-        raise ValidationError(f"state shape {rho.shape} does not match model dim {model.dim}")
-    return model.operator.apply(rho)
+    return model.operator.apply(_as_array(rho, "rho", (2,), model.dim))
 
 
 def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
@@ -217,12 +212,7 @@ def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
     ``+i[H, X] + sum_i g_i (A^dag X A - {A^dag A, X}/2)``; the identity is a
     fixed point.
     """
-    x = as_square(observable, "observable")
-    if x.shape != model.hamiltonian.shape:
-        raise ValidationError(
-            f"observable shape {x.shape} does not match model dim {model.dim}"
-        )
-    return model.operator.apply_adjoint(x)
+    return model.operator.apply_adjoint(_as_array(observable, "observable", (2,), model.dim))
 
 
 def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, complex]:
@@ -231,8 +221,8 @@ def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, compl
     Returns ``(Tr(X . L rho), Tr((L^dag X) . rho))``; the two must agree for
     any ``rho`` and ``X`` of the model's dimension.
     """
-    rho = _state_matrix(rho)
-    x = as_square(observable, "observable")
+    rho = _as_array(rho, "rho", (2,), model.dim)
+    x = _as_array(observable, "observable", (2,), model.dim)
     forward = complex(np.trace(x @ apply_generator(model, rho)))
     backward = complex(np.trace(apply_adjoint(model, x) @ rho))
     return forward, backward

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import ModelFormatError, ValidationError
+from .linalg import _as_array, as_square
 from .model import LindbladModel
 
 
@@ -150,10 +151,10 @@ def load_state(path) -> np.ndarray:
 def save_state(path, matrix, basis_labels=None) -> None:
     """Write a state file; a matrix :func:`load_state` would reject raises
     :class:`ValidationError`."""
-    matrix = np.asarray(matrix, dtype=complex)
-    square = matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1] >= 1
-    if not square or not np.isfinite(matrix).all():
-        raise ValidationError(f"state must be a finite square 2-D matrix, got shape {matrix.shape}")
+    try:
+        matrix = as_square(matrix, "state")
+    except ValidationError as exc:
+        raise ValidationError(f"state must be a finite square 2-D matrix ({exc})") from exc
     _save(path, matrix.shape[0], basis_labels, matrix=_matrix_to_rows(matrix))
 
 
@@ -179,14 +180,19 @@ def load_observables(path) -> list[tuple[str, np.ndarray]]:
 def save_observables(path, labeled_matrices, basis_labels=None) -> None:
     """Write an observables file; an item :func:`load_observables` would reject raises
     :class:`ValidationError` naming it."""
-    labeled = [(str(label), np.asarray(m, dtype=complex)) for label, m in labeled_matrices]
+    labeled = [(str(label), m) for label, m in labeled_matrices]
     if not labeled:
         raise ValidationError("observables list is empty")
-    first = labeled[0][1].shape
-    dim = first[0] if first else 0
+    try:
+        dim = len(labeled[0][1])  # rows of the first matrix, as given
+    except TypeError:  # a scalar
+        dim = 0
+    observables = []
     for k, (label, matrix) in enumerate(labeled):
         _check_label(label, f"observables[{k}]", ValidationError)
-        if dim < 1 or matrix.shape != (dim, dim) or not np.isfinite(matrix).all():
-            raise ValidationError(f"observables[{k}] must be a finite {dim} x {dim} matrix")
-    observables = [{"label": label, "matrix": _matrix_to_rows(m)} for label, m in labeled]
+        try:
+            matrix = _as_array(matrix, f"observables[{k}]", (2,), dim)
+        except ValidationError as exc:
+            raise ValidationError(f"observables[{k}] must be a finite {dim} x {dim} matrix") from exc
+        observables.append({"label": label, "matrix": _matrix_to_rows(matrix)})
     _save(path, dim, basis_labels, observables=observables)

@@ -18,12 +18,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import ComputedStateError, StateValidationError, ValidationError
-from .linalg import EPS, EigenDecomposition, as_square, as_vector, eig, propagate_linear
-from .model import TRACE_RTOL, DensityMatrix, LindbladModel, valid_states, validate_state
+from .errors import ComputedStateError, ValidationError
+from .linalg import EPS, EigenDecomposition, _as_array, as_square, eig, propagate_linear
+from .model import TRACE_RTOL, DensityMatrix, LindbladModel, state_violations, validate_state
 
 COLUMN_STACKING = "column-stacking"
 
@@ -35,10 +36,7 @@ def vec(rho) -> np.ndarray:
 
 def unvec(r, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`: rebuild the ``dim x dim`` matrix from a flat vector."""
-    r = as_vector(r, "r")
-    if r.shape[0] != dim * dim:
-        raise ValidationError(f"vector length {r.shape[0]} is not {dim}^2")
-    return r.reshape((dim, dim), order="F")
+    return _as_array(r, "r", (1,), dim * dim).reshape((dim, dim), order="F")
 
 
 #: Weight of each entry of an off-diagonal member of the Hermitian basis.
@@ -111,15 +109,11 @@ class Superoperator:
 
     dim_hilbert: int
     matrix: np.ndarray
-    convention: str = field(default=COLUMN_STACKING)
+    convention: ClassVar[str] = COLUMN_STACKING
     model: LindbladModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_square(self.matrix, "superoperator matrix")
-        if m.shape[0] != self.dim_hilbert**2:
-            raise ValidationError(
-                f"matrix dimension {m.shape[0]} is not dim_hilbert^2 = {self.dim_hilbert**2}"
-            )
+        m = _as_array(self.matrix, "superoperator matrix", (2,), self.dim_hilbert**2)
         object.__setattr__(self, "matrix", m)
 
 
@@ -201,7 +195,6 @@ def propagate(
     rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
-    times = np.asarray(times, dtype=float).reshape(-1)
     if method == "expm_action" and model is not None:
         norm = model.operator.norm_bound
         vectors = propagate_linear(model.operator, vec(rho0), times)
@@ -212,12 +205,11 @@ def propagate(
         r0 = r0 if r0.imag.any() else r0.real
         vectors = from_hermitian_basis(propagate_linear(hermitian_matrix(superop), r0, times).T).T
     states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
-    budgets = TRACE_RTOL + EPS * norm * times
-    for i in np.flatnonzero(~valid_states(states, budgets)):
-        try:
-            validate_state(states[i], trace_rtol=budgets[i])
-        except StateValidationError as exc:
-            raise ComputedStateError(exc.violations, float(times[i])) from exc
+    times = np.asarray(times, dtype=float).reshape(-1)  # a grid propagate_linear accepted
+    violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
+    if violations:
+        i = min(violations)
+        raise ComputedStateError(violations[i], float(times[i]))
     return [DensityMatrix(rho) for rho in states]
 
 

@@ -72,6 +72,17 @@ class TestReduce:
         with pytest.raises(ValidationError):
             arnoldi_reduce(model, random_density(rng, 2), 4)
 
+    @pytest.mark.parametrize("krylov_dim", [2.5, np.float64(2.0), True])
+    def test_krylov_dim_must_be_an_integer(self, krylov_dim):
+        model = build_tls(TLSParams(0.3, 0.7, 1.0))
+        with pytest.raises(ValidationError, match="krylov_dim"):
+            arnoldi_reduce(model, GROUND, krylov_dim)
+
+    def test_numpy_integer_krylov_dim_accepted(self):
+        model = build_tls(TLSParams(0.3, 0.7, 1.0))
+        reduction = arnoldi_reduce(model, GROUND, np.int64(2))
+        assert np.array_equal(reduction.hessenberg, arnoldi_reduce(model, GROUND, 2).hessenberg)
+
     def test_orthonormality_and_structure(self, rng):
         for n in (2, 3, 4):
             model = random_model(rng, n, n_jumps=2)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindbladmv.errors import StateValidationError, ValidationError
 from lindbladmv.model import (
+    TRACE_RTOL,
     LindbladModel,
     apply_adjoint,
     apply_generator,
     duality_check,
     random_density,
     random_model,
+    state_violations,
     validate_state,
 )
 from lindbladmv.tls import EXCITED, GROUND, IDENTITY, SX, SY, SZ, TLSParams, build_tls
@@ -199,3 +203,48 @@ class TestGeneratorProperties:
             state = random_density(rng, n)
             assert np.trace(state.matrix) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(state.matrix).min() >= -1e-12
+
+
+def state_of_kind(rng, n, kind):
+    """A matrix that is a density matrix or fails exactly the invariant ``kind`` names.
+
+    A non-Hermitian one may also have a negative Hermitian part, which must
+    then go unreported.
+    """
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "positivity":  # Hermitian, unit trace, one eigenvalue below the floor
+        q = np.linalg.qr(g)[0]
+        p = rng.uniform(0.1, 1.0, size=n)
+        p[0] = -rng.uniform(1e-6, 0.5)
+        p[1:] *= (1.0 - p[0]) / p[1:].sum()
+        m = (q * p) @ q.conj().T
+        return 0.5 * (m + m.conj().T)
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+    if kind == "trace":
+        return rho * (1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(1e-6, 0.5))
+    if kind == "hermiticity":  # a strictly upper triangular push keeps the trace
+        return rho + rng.uniform(1e-6, 2.0) * np.triu(g, 1)
+    return rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    kinds=st.lists(
+        st.sampled_from(["valid", "trace", "hermiticity", "positivity"]), min_size=1, max_size=8
+    ),
+)
+def test_stacked_report_equals_validate_state_report(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([state_of_kind(rng, n, kind) for kind in kinds])
+    report = state_violations(stack, TRACE_RTOL)
+    for i, (kind, matrix) in enumerate(zip(kinds, stack)):
+        try:
+            validate_state(matrix)
+            expected = None
+        except StateValidationError as exc:
+            expected = exc.violations
+        assert report.get(i) == expected
+        assert [name for name, _, _ in report.get(i, [])] == ([] if kind == "valid" else [kind])

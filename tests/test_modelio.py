@@ -104,7 +104,7 @@ def test_state_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "matrix",
     [np.array(1.0), np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 2, 2)),
-     np.zeros((0, 0)), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+     np.zeros((0, 0)), np.array([[np.inf, 0.0], [0.0, 1.0]]), [[0.5, 0.0], [0.0]], "ab"],
 )
 def test_save_state_rejects_what_load_rejects(tmp_path, matrix):
     path = tmp_path / "state.json"
@@ -155,6 +155,8 @@ def test_observable_label_must_fit_a_csv_header(tmp_path, label):
         ([("Sz", SZ), ("big", np.eye(3))], r"observables\[1\] must be a finite 2 x 2"),
         ([("Sz", SZ), ("nan", SX * np.nan)], r"observables\[1\] must be a finite 2 x 2"),
         ([("v", np.ones(2))], r"observables\[0\] must be a finite 2 x 2"),
+        ([("Sz", SZ), ("ragged", [[0.5, 0.0], [0.0]])], r"observables\[1\] must be a finite 2 x 2"),
+        ([("ragged", [[0.5, 0.0], [0.0]])], r"observables\[0\] must be a finite 2 x 2"),
     ],
 )
 def test_save_observables_rejects_what_load_rejects(tmp_path, items, where):
