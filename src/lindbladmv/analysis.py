@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import _as_array, expm, expm_action, hs_norm
+from .linalg import _as_array, as_square, expm, expm_action, hs_norm
 from .model import random_density, random_model
 from .vectorized import Superoperator, build_superoperator, spectrum, unvec, vec
 
@@ -61,8 +61,8 @@ def observable_modes(superop: Superoperator, rho0, observable) -> ModeDecomposit
     Raises :class:`DefectiveSpectrumError` when the eigenvector basis is too
     ill-conditioned to trust (use :func:`detect_degeneracy` there instead).
     """
-    rho0 = _as_array(rho0, "rho0", (2,), superop.dim_hilbert)
-    x = _as_array(observable, "observable", (2,), superop.dim_hilbert)
+    rho0 = as_square(rho0, "rho0", superop.dim_hilbert)
+    x = as_square(observable, "observable", superop.dim_hilbert)
     dec = spectrum(superop)
     if dec.eigenvector_condition > DEFECTIVE_CONDITION_LIMIT:
         raise DefectiveSpectrumError(

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, _as_array, arnoldi_iteration, check_krylov_dim, eig
+from .linalg import (
+    EigenDecomposition,
+    _as_array,
+    arnoldi_iteration,
+    as_square,
+    check_krylov_dim,
+    eig,
+)
 from .linalg import hs_inner, hs_norm, propagate_linear
 from .model import LindbladModel
 from .vectorized import from_hermitian_basis, to_hermitian_basis, vec
@@ -58,7 +65,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     """
     n = model.dim
     check_krylov_dim(krylov_dim, 0, n * n - 1)
-    rho0 = _as_array(rho0, "rho0", (2,), n)
+    rho0 = as_square(rho0, "rho0", n)
     norm0 = hs_norm(rho0)
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
@@ -85,7 +92,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
 
 def project(reduction: KrylovReduction, rho) -> np.ndarray:
     """Coefficients of ``rho`` on the reduction basis (its HS projections)."""
-    return hs_inner(np.asarray(reduction.basis), _as_array(rho, "rho", (2,), reduction.model_dim))
+    return hs_inner(np.asarray(reduction.basis), as_square(rho, "rho", reduction.model_dim))
 
 
 def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:

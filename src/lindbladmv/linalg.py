@@ -58,12 +58,10 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     return arr
 
 
-def as_square(a, name: str = "matrix", *, keep_real: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix with finite entries.
-
-    With ``keep_real`` a real floating ``a`` becomes a float matrix instead.
-    """
-    return _as_array(a, name, (2,), dtype=None if keep_real else complex)
+def as_square(a, name: str = "matrix", n: int | None = None, *, dtype=complex) -> np.ndarray:
+    """``a`` as a finite square matrix, ``n x n`` when ``n`` is given: the
+    square-matrix case of :func:`_as_array`, with its ``dtype``."""
+    return _as_array(a, name, (2,), n, dtype=dtype)
 
 
 def check_krylov_dim(krylov_dim, low: int, high: int | None = None) -> None:
@@ -142,7 +140,7 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     Uses scaling-and-squaring with a Pade core, with the order chosen from
     the scaled norm.  Overflow is reported, never silently saturated.
     """
-    m = as_square(m, "m", keep_real=True)
+    m = as_square(m, "m", dtype=None)
     result = scipy.linalg.expm(m * t)
     if not np.isfinite(result).all():
         raise ExpOverflowError(
@@ -275,7 +273,7 @@ def propagate_linear(a, y0, times) -> np.ndarray:
     times = as_times(times)
     matrix_free = hasattr(a, "matvec")
     if not matrix_free:
-        a = as_square(a, "a", keep_real=True)
+        a = as_square(a, "a", dtype=None)
     y = _as_array(y0, "y0", (1,), a.shape[0], dtype=None)
     if matrix_free:
         out = expm_action(a, y, times)
@@ -322,7 +320,7 @@ def _dense_eig(m, right: bool):
     A real floating ``m`` stays real: LAPACK's real solver returns complex
     eigenvalues in exact conjugate pairs and real eigenvalues exactly real.
     """
-    m = as_square(m, "m", keep_real=True)
+    m = as_square(m, "m", dtype=None)
     try:
         result = scipy.linalg.eig(m, right=right)
     except Exception as exc:  # LAPACK geev convergence failure

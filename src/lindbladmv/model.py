@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StateValidationError, ValidationError
-from .linalg import _as_array, as_square
+from .linalg import as_square
 
 #: Relative tolerance for Hermiticity of the Hamiltonian and of states.
 HERMITICITY_RTOL = 1e-12
@@ -62,7 +62,7 @@ class LindbladModel:
                 rate = np.nan
             if not 0.0 <= rate < np.inf:
                 raise ValidationError(f"jump rate {k} must be finite and non-negative: {rate}")
-            normalized.append((rate, _as_array(op, f"jump operator {k}", (2,), h.shape[0])))
+            normalized.append((rate, as_square(op, f"jump operator {k}", h.shape[0])))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(normalized))
 
@@ -143,8 +143,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype, copy=copy)
+    def __array__(self, dtype=None, copy=None):  # NumPy 1.x passes no ``copy``
+        return np.array(self.matrix, dtype=dtype) if copy else np.asarray(self.matrix, dtype=dtype)
 
     @property
     def dim(self) -> int:
@@ -203,7 +203,7 @@ def apply_generator(model: LindbladModel, rho) -> np.ndarray:
     ``rho`` need not be a physical state; the map is linear.  The result is
     traceless, and Hermitian whenever ``rho`` is.
     """
-    return model.operator.apply(_as_array(rho, "rho", (2,), model.dim))
+    return model.operator.apply(as_square(rho, "rho", model.dim))
 
 
 def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
@@ -212,7 +212,7 @@ def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
     ``+i[H, X] + sum_i g_i (A^dag X A - {A^dag A, X}/2)``; the identity is a
     fixed point.
     """
-    return model.operator.apply_adjoint(_as_array(observable, "observable", (2,), model.dim))
+    return model.operator.apply_adjoint(as_square(observable, "observable", model.dim))
 
 
 def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, complex]:
@@ -221,8 +221,8 @@ def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, compl
     Returns ``(Tr(X . L rho), Tr((L^dag X) . rho))``; the two must agree for
     any ``rho`` and ``X`` of the model's dimension.
     """
-    rho = _as_array(rho, "rho", (2,), model.dim)
-    x = _as_array(observable, "observable", (2,), model.dim)
+    rho = as_square(rho, "rho", model.dim)
+    x = as_square(observable, "observable", model.dim)
     forward = complex(np.trace(x @ apply_generator(model, rho)))
     backward = complex(np.trace(apply_adjoint(model, x) @ rho))
     return forward, backward

@@ -184,14 +184,15 @@ def save_observables(path, labeled_matrices, basis_labels=None) -> None:
     if not labeled:
         raise ValidationError("observables list is empty")
     try:
-        dim = len(labeled[0][1])  # rows of the first matrix, as given
-    except TypeError:  # a scalar
-        dim = 0
+        first = _as_array(labeled[0][1], "observables[0]").shape
+    except ValidationError as exc:
+        raise ValidationError(f"observables[0] must be a finite square matrix ({exc})") from exc
+    dim = first[0] if first else 0  # the rows of the first matrix set the dimension
     observables = []
     for k, (label, matrix) in enumerate(labeled):
         _check_label(label, f"observables[{k}]", ValidationError)
         try:
-            matrix = _as_array(matrix, f"observables[{k}]", (2,), dim)
+            matrix = as_square(matrix, f"observables[{k}]", dim)
         except ValidationError as exc:
             raise ValidationError(f"observables[{k}] must be a finite {dim} x {dim} matrix") from exc
         observables.append({"label": label, "matrix": _matrix_to_rows(matrix)})

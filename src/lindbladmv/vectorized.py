@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ComputedStateError, ValidationError
-from .linalg import EPS, EigenDecomposition, _as_array, as_square, eig, propagate_linear
+from .linalg import EPS, EigenDecomposition, _as_array, as_square, as_times, eig, propagate_linear
 from .model import TRACE_RTOL, DensityMatrix, LindbladModel, state_violations, validate_state
 
 COLUMN_STACKING = "column-stacking"
@@ -113,7 +113,7 @@ class Superoperator:
     model: LindbladModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_array(self.matrix, "superoperator matrix", (2,), self.dim_hilbert**2)
+        m = as_square(self.matrix, "superoperator matrix", self.dim_hilbert**2)
         object.__setattr__(self, "matrix", m)
 
 
@@ -195,6 +195,7 @@ def propagate(
     rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
+    times = as_times(times)
     if method == "expm_action" and model is not None:
         norm = model.operator.norm_bound
         vectors = propagate_linear(model.operator, vec(rho0), times)
@@ -205,7 +206,6 @@ def propagate(
         r0 = r0 if r0.imag.any() else r0.real
         vectors = from_hermitian_basis(propagate_linear(hermitian_matrix(superop), r0, times).T).T
     states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
-    times = np.asarray(times, dtype=float).reshape(-1)  # a grid propagate_linear accepted
     violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
     if violations:
         i = min(violations)

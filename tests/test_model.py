@@ -162,6 +162,23 @@ class TestValidateState:
         state = random_density(rng, 3)
         assert validate_state(state) is state
 
+    def test_array_protocol_of_numpy_1(self, monkeypatch):
+        """NumPy 1.x calls ``__array__()`` or ``__array__(dtype)``, and its
+        ``np.array`` rejects ``copy=None``."""
+        numpy_array = np.array
+
+        def array_without_none_copy(obj, dtype=None, *, copy=True, **kwargs):
+            if copy is None:
+                raise ValueError("NoneType copy mode not allowed")
+            return numpy_array(obj, dtype=dtype, copy=copy, **kwargs)
+
+        state = validate_state(GROUND)
+        monkeypatch.setattr(np, "array", array_without_none_copy)
+        assert np.array_equal(state.__array__(), GROUND)
+        assert state.__array__(complex).dtype == complex
+        copied = state.__array__(copy=True)
+        assert np.array_equal(copied, GROUND) and not np.shares_memory(copied, state.matrix)
+
 
 class TestGeneratorProperties:
     """Structural invariants on a population of random models."""

@@ -15,7 +15,7 @@ from lindbladmv.modelio import (
     save_observables,
     save_state,
 )
-from lindbladmv.model import random_model
+from lindbladmv.model import random_model, validate_state
 from lindbladmv.tls import BASIS_LABELS, GROUND, SX, SZ, TLSParams, build_tls
 
 from conftest import json_rows
@@ -129,6 +129,14 @@ def test_observables_round_trip(tmp_path):
     assert np.array_equal(back[1][1], SX)
 
 
+def test_writers_take_a_validated_state(tmp_path):
+    state = validate_state(GROUND)
+    save_state(tmp_path / "state.json", state)
+    save_observables(tmp_path / "obs.json", [("rho", state), ("Sz", SZ)])
+    assert np.array_equal(load_state(tmp_path / "state.json"), GROUND)
+    assert np.array_equal(load_observables(tmp_path / "obs.json")[0][1], GROUND)
+
+
 def test_observables_empty_rejected(tmp_path):
     path = tmp_path / "obs.json"
     path.write_text(json.dumps({"dim": 2, "observables": []}))
@@ -156,7 +164,8 @@ def test_observable_label_must_fit_a_csv_header(tmp_path, label):
         ([("Sz", SZ), ("nan", SX * np.nan)], r"observables\[1\] must be a finite 2 x 2"),
         ([("v", np.ones(2))], r"observables\[0\] must be a finite 2 x 2"),
         ([("Sz", SZ), ("ragged", [[0.5, 0.0], [0.0]])], r"observables\[1\] must be a finite 2 x 2"),
-        ([("ragged", [[0.5, 0.0], [0.0]])], r"observables\[0\] must be a finite 2 x 2"),
+        ([("ragged", [[0.5, 0.0], [0.0]])], r"observables\[0\] must be a finite square matrix"),
+        ([("text", "ab")], r"observables\[0\] must be a finite square matrix"),
     ],
 )
 def test_save_observables_rejects_what_load_rejects(tmp_path, items, where):
