@@ -56,12 +56,12 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on ``vec`` vectors,
     whose inner product is the Hilbert-Schmidt one, or, when ``rho0`` equals
     its conjugate transpose exactly, on their real coordinates on the
-    Hermitian basis (:func:`~lindbladmv.vectorized.to_hermitian_basis`):
-    each image is then projected onto its Hermitian part, so round-off
-    cannot open an anti-Hermitian direction, and the Hessenberg matrix is
-    real.  The last application only fills the last Hessenberg column, so
-    only an earlier breakdown truncates the reduction to the invariant
-    subspace found.
+    Hermitian basis through
+    :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`: each image is
+    then projected onto its Hermitian part, so round-off cannot open an
+    anti-Hermitian direction, and the Hessenberg matrix is real.  The last
+    application only fills the last Hessenberg column, so only an earlier
+    breakdown truncates the reduction to the invariant subspace found.
     """
     n = model.dim
     check_krylov_dim(krylov_dim, 0, n * n - 1)
@@ -70,18 +70,12 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
 
-    matvec = model.operator.matvec
     v0 = vec(rho0 / norm0)
     coordinates = to_hermitian_basis(v0)
     hermitian = not coordinates.imag.any()
-    if hermitian:
-        v0 = coordinates.real
-
-        def apply(r):  # the Hermitian part of the image, in real coordinates
-            return to_hermitian_basis(matvec(from_hermitian_basis(r))).real
-    else:
-        apply = matvec
-    basis, hess, breakdown_at = arnoldi_iteration(apply, v0, krylov_dim + 1)
+    operator = model.operator.hermitian if hermitian else model.operator
+    v0 = coordinates.real if hermitian else v0
+    basis, hess, breakdown_at = arnoldi_iteration(operator.matvec, v0, krylov_dim + 1)
     size = min(basis.shape[0], krylov_dim + 1)
     breakdown_at = None if breakdown_at == krylov_dim else breakdown_at
     vectors = from_hermitian_basis(basis[:size].T).T if hermitian else basis[:size]

@@ -27,6 +27,9 @@ BREAKDOWN_RTOL = 1e-12
 #: Residual bound of every output of :func:`expm_action`, relative to the norm
 #: of the vector its Krylov basis starts from.
 ACTION_RTOL = 1e-12
+#: A growing basis of :func:`expm_action` checks its estimate at the last grid
+#: time after every this many steps.
+GROWTH_CHECK = 10
 
 
 def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
@@ -106,7 +109,7 @@ def orthogonalize(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     return coefficients + correction
 
 
-def arnoldi_iteration(apply, v0: np.ndarray, k: int):
+def arnoldi_iteration(apply, v0: np.ndarray, k: int, stop=None):
     """Arnoldi process: up to ``k`` applications of ``apply`` from the unit vector ``v0``.
 
     Returns ``(basis, hess, breakdown_at)`` with ``apply(basis[j]) = sum_i hess[i, j] basis[i]``
@@ -118,6 +121,10 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int):
     ``j + 1`` rows, which span an invariant space, and a ``(j + 2, j + 1)``
     ``hess`` whose last row holds the residual.  Both take the dtype of
     ``v0``; from a real ``v0``, ``apply`` must map real vectors to real ones.
+
+    ``stop``, when given, is called with the ``(j + 2, j + 1)`` leading
+    block of ``hess`` after each step ``j < k - 1`` that did not break down;
+    a true result ends the process there, with ``j + 2`` rows of ``basis``.
     """
     basis = np.empty((k + 1, v0.shape[0]), dtype=v0.dtype)
     hess = np.zeros((k + 1, k), dtype=v0.dtype)
@@ -131,6 +138,8 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int):
         if residual <= BREAKDOWN_RTOL * scale:
             return basis[: j + 1], hess[: j + 2, : j + 1], j
         basis[j + 1] = u / residual
+        if stop is not None and j + 1 < k and stop(hess[: j + 2, : j + 1]):
+            return basis[: j + 2], hess[: j + 2, : j + 1], None
     return basis, hess, None
 
 
@@ -157,12 +166,26 @@ def as_times(times, name: str = "times") -> np.ndarray:
     return grid
 
 
+def _augmented(hess: np.ndarray) -> np.ndarray:
+    """``[[H_k, 0], [h_{k+1,k} e_k^T, 0]]`` from a ``(k + 1, k)`` Arnoldi ``hess``.
+
+    Column 0 of ``exp(tau A)`` for this ``A`` is ``exp(tau H_k) e_1`` followed
+    by ``h_{k+1,k} [tau phi_1(tau H_k)]_{k,1}``, with ``phi_1(z) = (e^z - 1) / z``:
+    the coefficients of the Krylov approximation and, times ``beta``, its
+    error estimate.  Both step together, ``exp((s + tau) A) = exp(tau A) exp(s A)``.
+    """
+    k = hess.shape[1]
+    out = np.zeros((k + 1, k + 1), dtype=hess.dtype)
+    out[:, :k] = hess
+    return out
+
+
 def expm_action(
     m,
     v,
     t=1.0,
     *,
-    krylov_dim: int = 30,
+    krylov_dim: int = 100,
     max_steps: int = 10_000,
 ) -> np.ndarray:
     """Compute ``exp(m * t) @ v`` without forming the full exponential.
@@ -170,20 +193,29 @@ def expm_action(
     ``m`` is a square matrix or a matrix-free linear operator: any object
     with a ``shape`` of ``(N, N)`` and a ``matvec(x)`` method returning the
     product with a length-``N`` vector, such as
-    :class:`lindbladmv.model.LiouvilleOperator`.  An operator is trusted as
-    given; a matrix is validated.  ``t`` is a finite scalar, which gives a
-    length-``N`` result, or a 1-D grid of finite, non-negative, ascending
-    times, which gives ``(T, N)`` with row ``i`` equal to ``exp(m t_i) @ v``.
+    :class:`lindbladmv.model.LiouvilleOperator`, and optionally a ``dtype``
+    (complex when absent).  An operator is trusted as given; a matrix is
+    validated.  The Krylov basis and the result take the result type of
+    ``m`` and ``v``, so a real operator and a real ``v`` run in real
+    arithmetic.  ``t`` is a finite scalar, which gives a length-``N``
+    result, or a 1-D grid of finite, non-negative, ascending times, which
+    gives ``(T, N)`` with row ``i`` equal to ``exp(m t_i) @ v``.
 
     Each Krylov basis comes from :func:`arnoldi_iteration` with at most
-    ``krylov_dim`` products with ``m``.  Its first substep aims at the next
-    grid time and halves until the residual estimate
-    ``beta |h_{k,k-1}| |[exp(tau H_k)]_{k-1,0}|`` is at most ``ACTION_RTOL * beta``,
-    ``beta`` being the norm of the vector the basis starts from.  When that
-    substep lands on the grid time (after a breakdown it is tried first),
-    the same basis also serves each later grid time whose own estimate
-    meets the same bound, up to the first that fails it; the next basis
-    starts from the last time served.
+    ``krylov_dim`` products with ``m``.  The basis grows until, checked every
+    ``GROWTH_CHECK`` steps, the error estimate at the last grid time meets
+    the bound, or up to ``krylov_dim``.  The estimate of the approximation
+    ``beta V_k exp(tau H_k) e_1`` is ``beta h_{k+1,k} |[tau phi_1(tau H_k)]_{k,1}|``,
+    read off the exponential of the augmented ``(k + 1) x (k + 1)`` matrix,
+    and the bound is ``ACTION_RTOL * beta``, ``beta`` being the norm of the
+    vector the basis starts from.  The first substep aims at the next grid
+    time and halves until its estimate meets the bound.  When it lands on
+    the grid time (after a breakdown it is tried first), later grid times
+    step on from it, ``exp(dt A)`` applied to the augmented coefficients
+    with one exponential per step size (steps within ``8 eps t`` count as
+    equal), and the basis serves each whose own estimate meets the bound,
+    up to the first that fails it; the next basis starts from the last
+    time served.
 
     Raises :class:`ConvergenceError` when the step control stalls or the
     grid is not covered within ``max_steps`` bases, and
@@ -191,19 +223,26 @@ def expm_action(
     """
     check_krylov_dim(krylov_dim, 1)
     if hasattr(m, "matvec"):
-        apply, shape, is_zero = m.matvec, tuple(m.shape), False
+        apply, shape, dtype, is_zero = m.matvec, tuple(m.shape), getattr(m, "dtype", complex), False
     else:
-        m = as_square(m, "m")
-        apply, shape, is_zero = m.dot, m.shape, not m.any()
+        m = as_square(m, "m", dtype=None)
+        apply, shape, dtype, is_zero = m.dot, m.shape, m.dtype, not m.any()
     n = shape[0]
-    v = _as_array(v, "v", (1,), n)
+    v = _as_array(v, "v", (1,), n, dtype=None)
+    v = v.astype(np.result_type(dtype, v), copy=False)
     t = _as_array(t, "t", dtype=float)
     scalar = t.ndim == 0
     grid = t.reshape(1) if scalar else as_times(t, "t")
-    out = np.empty((grid.shape[0], n), dtype=complex)
+    out = np.empty((grid.shape[0], n), dtype=v.dtype)
     if is_zero:
         out[:] = v
         return out[0] if scalar else out
+
+    def grown(hess):  # the estimate at the last grid time meets the bound
+        return (
+            hess.shape[1] % GROWTH_CHECK == 0
+            and abs(scipy.linalg.expm(horizon * _augmented(hess))[-1, 0]) <= ACTION_RTOL
+        )
 
     dim = min(krylov_dim, n)
     w, i, remaining, step_guess, steps = v, 0, grid[0], np.inf, 0
@@ -224,32 +263,37 @@ def expm_action(
                 residual=abs(grid[-1] - grid[i] + remaining),
             )
         steps += 1
-        basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim)
+        horizon = grid[-1] - grid[i] + remaining
+        basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim, grown)
         k = hess.shape[1]
-        h, residual = hess[:k, :k], abs(hess[k, k - 1])
+        augmented = _augmented(hess)
         whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
         tau = remaining if whole else step_guess
         for _halving in range(80):
-            phi = scipy.linalg.expm(tau * h)[:, 0]
-            err = residual * abs(phi[k - 1])
+            propagator = scipy.linalg.expm(tau * augmented)
+            err = abs(propagator[k, 0])
             if err <= ACTION_RTOL:
                 break
             tau *= 0.5
         else:
             raise ConvergenceError("expm_action step control stalled", residual=err)
+        psi = propagator[:, 0]
         if tau != remaining:  # short of grid[i]: the next basis goes on from here
-            w = (beta * phi) @ basis[:k]
+            w = (beta * psi[:k]) @ basis[:k]
             remaining -= tau
             step_guess = 2.0 * tau  # let accepted steps grow back
             continue
-        # landed on grid[i]: later grid times share this basis while their estimates hold
-        coefficients, j = [beta * phi], i + 1
+        # landed on grid[i]: later grid times step on while their estimates hold
+        coefficients, j, step = [beta * psi[:k]], i + 1, tau
         while j < grid.shape[0]:
-            if grid[j] != grid[j - 1]:
-                phi = scipy.linalg.expm((grid[j] - grid[i] + tau) * h)[:, 0]
-                if residual * abs(phi[k - 1]) > ACTION_RTOL:
+            dt = grid[j] - grid[j - 1]
+            if dt > 0.0:
+                if abs(dt - step) > 8.0 * EPS * grid[j]:
+                    step, propagator = dt, scipy.linalg.expm(dt * augmented)
+                psi = propagator @ psi
+                if abs(psi[k]) > ACTION_RTOL:
                     break
-            coefficients.append(beta * phi)
+            coefficients.append(beta * psi[:k])
             j += 1
         rows = np.array(coefficients) @ basis[:k]
         out[i : j - 1] = rows[:-1]

@@ -8,8 +8,9 @@ lives in :mod:`lindbladmv.vectorized`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -92,7 +93,12 @@ class LiouvilleOperator:
 
     ``norm_bound`` is ``nu = 2 ||H_eff||_F + sum_k ||L_k||_F^2``, which
     bounds the generator and its adjoint: ``||L rho||_F <= nu ||rho||_F``.
+    :attr:`hermitian` is the same generator on real coordinates of
+    Hermitian matrices.
     """
+
+    #: The type of :meth:`matvec`'s vectors.
+    dtype = np.dtype(complex)
 
     def __init__(self, model: LindbladModel):
         n = model.dim
@@ -132,6 +138,105 @@ class LiouvilleOperator:
         """The generator on a column-stacked state of length ``n^2``."""
         n = self.dim
         return self.apply(v.reshape((n, n), order="F")).reshape(-1, order="F")
+
+    @cached_property
+    def hermitian(self) -> "HermitianView":
+        """The generator on real Hermitian-basis coordinates, built on first use and kept."""
+        return HermitianView(self)
+
+
+#: Weight of each entry of an off-diagonal member of the Hermitian basis.
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@cache
+def _hermitian_index(n: int):
+    """``vec`` indices of ``rho[i, i]``, then of ``rho[i, j]`` and ``rho[j, i]`` for ``i < j``.
+
+    The pairs come in the row-major order of the upper triangle, the order
+    of the Hermitian basis (see :func:`lindbladmv.vectorized.to_hermitian_basis`).
+    """
+    rows, cols = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
+
+
+@cache
+def _hermitian_tables(n: int):
+    """Index tables between Hermitian-basis coordinates and the float view of an ``n x n`` matrix.
+
+    The float view of a C-ordered complex matrix holds ``Re m[i, j]`` at
+    ``2 (i n + j)``, twice the ``vec`` index of ``m[j, i]``, and
+    ``Im m[i, j]`` right after it.  ``scatter`` picks each float of a
+    Hermitian matrix from the coordinates times ``weights``, followed by the
+    negated anti-Hermitian ones and a zero.  Coordinate ``p`` of the
+    Hermitian part of a matrix is
+    ``mix[0, p] floats[gather[0, p]] + mix[1, p] floats[gather[1, p]]``.
+    """
+    diag, upper, lower = (2 * index for index in _hermitian_index(n))
+    ij, ji = lower, upper  # floats of m[i, j] and m[j, i]
+    m, size = ij.shape[0], n * n
+    sym, anti = n + np.arange(m), n + m + np.arange(m)
+    scatter = np.empty(2 * size, dtype=np.intp)
+    scatter[diag], scatter[diag + 1] = np.arange(n), size + m  # the appended zero
+    scatter[ij], scatter[ij + 1] = sym, anti
+    scatter[ji], scatter[ji + 1] = sym, anti + m  # the negated copy
+    weights = np.full(size, _SQRT_HALF)
+    weights[:n] = 1.0
+    gather = np.stack([np.concatenate([diag, ij, ij + 1]), np.concatenate([diag, ji, ji + 1])])
+    mix = np.stack([weights, weights])
+    mix[:, :n] = 0.5
+    mix[1, n + m :] *= -1.0
+    return scatter, weights, gather, mix
+
+
+class HermitianView:
+    """The generator of a :class:`LiouvilleOperator` on real coordinates of Hermitian matrices.
+
+    The coordinates are those of
+    :func:`~lindbladmv.vectorized.to_hermitian_basis`, which are orthonormal
+    in the Hilbert-Schmidt inner product, so the real dot product of two
+    coordinate vectors is the Hilbert-Schmidt one.  :meth:`matvec` maps real
+    coordinates to the real coordinates of the image: :meth:`matrix`
+    scatters them into an exactly Hermitian ``M``, one product stacks
+    ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by ``Kn x n``
+    product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the Hamiltonian
+    part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian part of
+    ``-2i X``, so :meth:`coordinates` of the sum, which keep only its
+    Hermitian part, are those of the generator's image.  Index tables are
+    built once per ``n``; nothing is validated.
+    """
+
+    dtype = np.dtype(float)
+
+    def __init__(self, operator: LiouvilleOperator):
+        n = operator.dim
+        self.dim, self.shape, self.norm_bound = n, operator.shape, operator.norm_bound
+        self._stacked = np.concatenate([-2j * operator.h_eff] + [s for s, _ in operator.jumps])
+        self._jumps_dag = np.concatenate([d for _, d in operator.jumps]) if operator.jumps else None
+        self._scatter, self._weights, self._gather, self._mix = _hermitian_tables(n)
+
+    def matrix(self, r: np.ndarray) -> np.ndarray:
+        """The exactly Hermitian ``n x n`` matrix with real coordinates ``r``."""
+        n = self.dim
+        weighted = r * self._weights
+        extended = np.concatenate([weighted, -weighted[(n * n + n) // 2 :], [0.0]])
+        return extended[self._scatter].view(complex).reshape(n, n)
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The real coordinates of the Hermitian part ``(x + x^dag) / 2`` of an ``n x n`` matrix."""
+        floats = np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float)
+        picked = floats[self._gather]
+        return picked[0] * self._mix[0] + picked[1] * self._mix[1]
+
+    def matvec(self, r: np.ndarray) -> np.ndarray:
+        """The generator on real coordinates ``r`` of length ``n^2``."""
+        n = self.dim
+        products = self._stacked @ self.matrix(r)
+        image = products[:n]
+        if self._jumps_dag is not None:
+            blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+            image = image + blocks @ self._jumps_dag
+        return self.coordinates(image)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ so on that basis its matrix and the coordinates of a state are real.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -24,7 +23,15 @@ import numpy as np
 
 from .errors import ComputedStateError, ValidationError
 from .linalg import EPS, EigenDecomposition, _as_array, as_square, as_times, eig, propagate_linear
-from .model import TRACE_RTOL, DensityMatrix, LindbladModel, state_violations, validate_state
+from .model import (
+    _SQRT_HALF,
+    TRACE_RTOL,
+    DensityMatrix,
+    LindbladModel,
+    _hermitian_index,
+    state_violations,
+    validate_state,
+)
 
 COLUMN_STACKING = "column-stacking"
 
@@ -37,17 +44,6 @@ def vec(rho) -> np.ndarray:
 def unvec(r, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`: rebuild the ``dim x dim`` matrix from a flat vector."""
     return _as_array(r, "r", (1,), dim * dim).reshape((dim, dim), order="F")
-
-
-#: Weight of each entry of an off-diagonal member of the Hermitian basis.
-_SQRT_HALF = math.sqrt(0.5)
-
-
-@functools.cache
-def _hermitian_index(n: int):
-    """``vec`` indices of ``rho[i, i]``, then of ``rho[i, j]`` and ``rho[j, i]`` for ``i < j``."""
-    rows, cols = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
 
 
 def _hermitian_mix(x, anti: complex) -> np.ndarray:
@@ -179,7 +175,10 @@ def propagate(
     ``method="expm_action"`` never uses the dense matrix: it applies the
     model's matrix-free :attr:`LindbladModel.operator` (the model recorded
     by :func:`build_superoperator`; any other superoperator is applied
-    through its matrix).
+    through its matrix), on real Hermitian-basis coordinates
+    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`) when ``rho0``
+    equals its conjugate transpose exactly, on complex ``vec`` vectors
+    otherwise.
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the
@@ -196,15 +195,20 @@ def propagate(
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
     times = as_times(times)
+    r0 = to_hermitian_basis(vec(rho0))
+    hermitian = not r0.imag.any()
     if method == "expm_action" and model is not None:
         norm = model.operator.norm_bound
-        vectors = propagate_linear(model.operator, vec(rho0), times)
+        if hermitian:
+            r = propagate_linear(model.operator.hermitian, r0.real, times)
+            vectors = from_hermitian_basis(r.T).T
+        else:
+            vectors = propagate_linear(model.operator, vec(rho0), times)
     else:
         superop = superop if superop is not None else build_superoperator(model)
         norm = np.linalg.norm(superop.matrix, 1)
-        r0 = to_hermitian_basis(vec(rho0))
-        r0 = r0 if r0.imag.any() else r0.real
-        vectors = from_hermitian_basis(propagate_linear(hermitian_matrix(superop), r0, times).T).T
+        r = propagate_linear(hermitian_matrix(superop), r0.real if hermitian else r0, times)
+        vectors = from_hermitian_basis(r.T).T
     states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
     violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
     if violations:

@@ -1,12 +1,39 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lindbladmv.model import LindbladModel
 from lindbladmv.tls import IDENTITY, SX, SY, SZ
+
+#: NumPy warns when it drops an imaginary part in a cast to a real dtype.
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
+@pytest.fixture(autouse=True)
+def complex_warning_is_an_error():
+    """A dropped imaginary part fails the test that dropped it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        yield
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240831)
+
+
+def benchmark_model(rng, n, rates=(1.0, 0.5)):
+    """A random model scaled like the benchmark's: Gaussian ``H`` and jumps of Frobenius norm ``sqrt(n)``."""
+
+    def gaussian():
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return g * (np.sqrt(n) / np.linalg.norm(g))
+
+    g = gaussian()
+    hamiltonian = 0.5 * (g + g.conj().T)
+    hamiltonian *= np.sqrt(n) / np.linalg.norm(hamiltonian)
+    return LindbladModel(hamiltonian, tuple((rate, gaussian()) for rate in rates))
 
 
 def pauli_set():

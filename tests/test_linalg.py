@@ -173,6 +173,26 @@ class TestArnoldiIteration:
         images = np.array([m @ b for b in basis])
         assert np.abs(images - hess[:2].T @ basis).max() <= 1e-12 * np.abs(images).max()
 
+    def test_stop_ends_the_process_after_a_step(self, rng):
+        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        v /= np.linalg.norm(v)
+        seen = []
+
+        def stop(hess):
+            seen.append(hess.shape)
+            return hess.shape[1] == 3
+
+        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v, 7, stop)
+        assert seen == [(2, 1), (3, 2), (4, 3)]
+        assert breakdown_at is None
+        assert basis.shape == (4, 12) and hess.shape == (4, 3)
+        full_basis, full_hess, _ = arnoldi_iteration(m.dot, v, 7)
+        assert np.array_equal(basis, full_basis[:4]) and np.array_equal(hess, full_hess[:4, :3])
+        check_arnoldi_relation(m.dot, basis, hess)
+        arnoldi_iteration(m.dot, v, 3, lambda hess: seen.append(hess.shape))
+        assert seen[3:] == [(2, 1), (3, 2)]  # never after the last step
+
     def test_zero_operator_breaks_down_at_zero(self):
         basis, hess, breakdown_at = arnoldi_iteration(lambda v: 0.0 * v, np.eye(4)[0], 3)
         assert breakdown_at == 0
@@ -299,6 +319,27 @@ class TestExpmAction:
     def test_krylov_dim_must_be_a_positive_integer(self, krylov_dim):
         with pytest.raises(ValidationError, match="krylov_dim"):
             expm_action(-np.eye(3), np.ones(3), 1.0, krylov_dim=krylov_dim)
+
+    def test_one_dimensional_basis_steps_instead_of_stalling(self):
+        # the estimate beta h_21 |tau phi_1(tau h_11)| vanishes with the substep
+        m, v = -np.diag([1.0, 2.0, 3.0]), np.ones(3)
+        for t in (1e-13, [0.0, 5e-13, 1e-12]):
+            out = expm_action(m, v, t, krylov_dim=1)
+            expected = [scipy.linalg.expm(s * m) @ v for s in np.atleast_1d(t)]
+            assert np.abs(out - np.reshape(expected, out.shape)).max() <= 1e-12 * np.linalg.norm(v)
+        # every basis starts from a multiple of v, so no step leaves its span
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            expm_action(m, v, 1.0, krylov_dim=1, max_steps=50)
+
+    def test_result_takes_the_type_of_matrix_and_start(self, rng):
+        m = rng.normal(size=(10, 10)) - 3.0 * np.eye(10)
+        v = rng.normal(size=10)
+        for matrix in (m + 1j * rng.normal(size=(10, 10)), m):
+            out = expm_action(matrix, v, [0.5, 2.0])
+            assert out.dtype == np.result_type(matrix, v)
+            for t, y in zip([0.5, 2.0], out):
+                expected = scipy.linalg.expm(t * matrix) @ v
+                assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("krylov_dim, v", [(1, [1.0, 0.0, 0.0]), (np.int64(2), [1.0, 1.0, 0.0])])
     def test_smallest_krylov_dims_accepted(self, krylov_dim, v):

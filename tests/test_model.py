@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindbladmv.errors import StateValidationError, ValidationError
+from lindbladmv.linalg import EPS
 from lindbladmv.model import (
     TRACE_RTOL,
     LindbladModel,
@@ -16,6 +17,7 @@ from lindbladmv.model import (
     validate_state,
 )
 from lindbladmv.tls import EXCITED, GROUND, IDENTITY, SX, SY, SZ, TLSParams, build_tls
+from lindbladmv.vectorized import from_hermitian_basis, to_hermitian_basis, vec
 
 from conftest import random_hermitian
 
@@ -265,3 +267,23 @@ def test_stacked_report_equals_validate_state_report(seed, n, kinds):
             expected = exc.violations
         assert report.get(i) == expected
         assert [name for name, _, _ in report.get(i, [])] == ([] if kind == "valid" else [kind])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), n_jumps=st.integers(0, 3))
+def test_hermitian_view_matches_the_generator(seed, n, n_jumps):
+    rng = np.random.default_rng(seed)
+    operator = random_model(rng, n, n_jumps=n_jumps).operator
+    view = operator.hermitian
+    assert view.shape == (n * n, n * n) and view.dtype == float
+    r = rng.normal(size=n * n)
+    m = view.matrix(r)
+    assert np.array_equal(m, m.conj().T)
+    assert np.array_equal(vec(m), from_hermitian_basis(r))
+    image = view.matvec(r)
+    assert image.dtype == float
+    expected = to_hermitian_basis(vec(operator.apply(m))).real
+    assert np.linalg.norm(image - expected) <= 1e-13 * operator.norm_bound * np.linalg.norm(m)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    hermitian_part = to_hermitian_basis(vec(0.5 * (x + x.conj().T))).real
+    assert np.linalg.norm(view.coordinates(x) - hermitian_part) <= 4 * EPS * np.linalg.norm(x)

@@ -39,7 +39,13 @@ from lindbladmv.vectorized import (
     vec,
 )
 
-from conftest import ep_params, multiset_close, random_hermitian, tls_superop_golden
+from conftest import (
+    benchmark_model,
+    ep_params,
+    multiset_close,
+    random_hermitian,
+    tls_superop_golden,
+)
 
 
 class TestVec:
@@ -275,6 +281,46 @@ class TestPropagate:
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.linalg.norm(rho - rho.conj().T) <= 1e-12
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        n_jumps=st.integers(0, 2),
+        times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5).map(sorted),
+        exact=st.booleans(),
+    )
+    def test_action_matches_dense_from_either_start(self, seed, n, n_jumps, times, exact):
+        rng = np.random.default_rng(seed)
+        model = benchmark_model(rng, n, (1.0, 0.5)[:n_jumps])
+        rho0 = random_density(rng, n).matrix
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        if not exact:  # an anti-Hermitian defect far inside HERMITICITY_RTOL
+            g = rng.normal(size=(n, n))
+            rho0 = rho0 + 1e-15j * (g + g.T)
+        assert to_hermitian_basis(vec(rho0)).imag.any() != exact  # real or complex path
+        dense = propagate(model, rho0, times, method="expm")
+        action = propagate(model, rho0, times, method="expm_action")
+        for a, b in zip(dense, action):
+            assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
+
+    def test_action_grid_takes_one_basis_on_a_benchmark_scaled_model(self, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        rng = np.random.default_rng(16)
+        model = benchmark_model(rng, 16)
+        rho0 = random_density(rng, 16).matrix
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
+        runs, exponentials = [], []
+        arnoldi_iteration, expm = linalg.arnoldi_iteration, scipy.linalg.expm
+        monkeypatch.setattr(
+            linalg, "arnoldi_iteration", lambda *a: runs.append(arnoldi_iteration(*a)) or runs[-1]
+        )
+        monkeypatch.setattr(scipy.linalg, "expm", lambda *a: exponentials.append(a) or expm(*a))
+        propagate(model, rho0, np.linspace(0.0, 5.0, 21), method="expm_action")
+        assert len(runs) == 1
+        assert runs[0][1].shape[1] <= 60  # matvecs
+        assert len(exponentials) <= 8
 
     def test_rejects_bad_times(self, rng):
         superop = build_superoperator(random_model(rng, 2))
