@@ -250,12 +250,13 @@ def fit_scaling_slopes(records) -> dict[str, float]:
 
 
 def benchmark_csv(records) -> str:
-    """Flat CSV, one row per record: ``n,method,wall_time_s,result_error``.
+    """Flat CSV, one row per record: ``n,method,wall_time_s,result_error,status``.
 
-    Cells that did not complete carry ``nan`` in the error column (their
-    wall time is the measured time before cut-off).
+    A cell that did not finish has an empty error and its status (its wall
+    time is the measured time before cut-off).
     """
-    lines = ["n,method,wall_time_s,result_error"]
-    for rec in records:
-        lines.append(f"{rec.n},{rec.method},{rec.wall_time_s!r},{rec.result_error!r}")
+    lines = ["n,method,wall_time_s,result_error,status"]
+    for r in records:
+        error = "" if np.isnan(r.result_error) else repr(float(r.result_error))
+        lines.append(f"{r.n},{r.method},{float(r.wall_time_s)!r},{error},{r.status}")
     return "\n".join(lines) + "\n"

@@ -53,12 +53,12 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
 
     Builds at most ``krylov_dim + 1`` basis matrices from an integer
     ``krylov_dim`` in ``[0, n^2 - 1]`` (the full Liouville dimension).  The
-    kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on ``vec`` vectors,
-    whose inner product is the Hilbert-Schmidt one, or, when ``rho0`` equals
-    its conjugate transpose exactly, on their real coordinates on the
-    Hermitian basis through
-    :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`: each image is
-    then projected onto its Hermitian part, so round-off cannot open an
+    kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on the
+    coordinates of ``rho0`` on the Hermitian basis, whose dot product is the
+    Hilbert-Schmidt one, through
+    :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`.  When ``rho0``
+    equals its conjugate transpose exactly they are real: each image is then
+    projected onto its Hermitian part, so round-off cannot open an
     anti-Hermitian direction, and the Hessenberg matrix is real.  The last
     application only fills the last Hessenberg column, so only an earlier
     breakdown truncates the reduction to the invariant subspace found.
@@ -70,15 +70,12 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
 
-    v0 = vec(rho0 / norm0)
-    coordinates = to_hermitian_basis(v0)
-    hermitian = not coordinates.imag.any()
-    operator = model.operator.hermitian if hermitian else model.operator
-    v0 = coordinates.real if hermitian else v0
-    basis, hess, breakdown_at = arnoldi_iteration(operator.matvec, v0, krylov_dim + 1)
+    v0 = to_hermitian_basis(vec(rho0 / norm0))
+    v0 = v0 if v0.imag.any() else v0.real
+    basis, hess, breakdown = arnoldi_iteration(model.operator.hermitian.matvec, v0, krylov_dim + 1)
     size = min(basis.shape[0], krylov_dim + 1)
-    breakdown_at = None if breakdown_at == krylov_dim else breakdown_at
-    vectors = from_hermitian_basis(basis[:size].T).T if hermitian else basis[:size]
+    breakdown_at = None if breakdown == krylov_dim else breakdown
+    vectors = from_hermitian_basis(basis[:size].T).T
     # row k of vectors is vec(basis matrix k), the rows of its transpose
     basis = tuple(vectors.reshape(size, n, n).transpose(0, 2, 1))
     return KrylovReduction(basis, hess[:size, :size], breakdown_at, n)

@@ -151,11 +151,7 @@ def cmd_bench(args) -> int:
     records = analysis.run_benchmark(
         dims, methods, seed=args.seed, repeats=args.repeats, timeout_s=args.timeout
     )
-    lines = ["n,method,wall_time_s,result_error,status"]
-    for rec in records:
-        err = "" if np.isnan(rec.result_error) else _fmt(rec.result_error)
-        lines.append(f"{rec.n},{rec.method},{_fmt(rec.wall_time_s)},{err},{rec.status}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(analysis.benchmark_csv(records), args.out)
     slopes = analysis.fit_scaling_slopes(records)
     for method in sorted(slopes, key=slopes.get):
         sys.stdout.write(f"slope {method} = {slopes[method]:.3f}\n")

@@ -93,12 +93,8 @@ class LiouvilleOperator:
 
     ``norm_bound`` is ``nu = 2 ||H_eff||_F + sum_k ||L_k||_F^2``, which
     bounds the generator and its adjoint: ``||L rho||_F <= nu ||rho||_F``.
-    :attr:`hermitian` is the same generator on real coordinates of
-    Hermitian matrices.
+    :attr:`hermitian` is the same generator on Hermitian-basis coordinates.
     """
-
-    #: The type of :meth:`matvec`'s vectors.
-    dtype = np.dtype(complex)
 
     def __init__(self, model: LindbladModel):
         n = model.dim
@@ -141,95 +137,117 @@ class LiouvilleOperator:
 
     @cached_property
     def hermitian(self) -> "HermitianView":
-        """The generator on real Hermitian-basis coordinates, built on first use and kept."""
+        """The generator on Hermitian-basis coordinates, built on first use and kept."""
         return HermitianView(self)
-
-
-#: Weight of each entry of an off-diagonal member of the Hermitian basis.
-_SQRT_HALF = math.sqrt(0.5)
-
-
-@cache
-def _hermitian_index(n: int):
-    """``vec`` indices of ``rho[i, i]``, then of ``rho[i, j]`` and ``rho[j, i]`` for ``i < j``.
-
-    The pairs come in the row-major order of the upper triangle, the order
-    of the Hermitian basis (see :func:`lindbladmv.vectorized.to_hermitian_basis`).
-    """
-    rows, cols = np.triu_indices(n, 1)
-    return np.arange(n) * (n + 1), cols * n + rows, rows * n + cols
 
 
 @cache
 def _hermitian_tables(n: int):
-    """Index tables between Hermitian-basis coordinates and the float view of an ``n x n`` matrix.
+    """Gather tables of ``U`` and ``U^H`` (see :func:`to_hermitian_basis`) for ``n x n`` matrices.
 
-    The float view of a C-ordered complex matrix holds ``Re m[i, j]`` at
-    ``2 (i n + j)``, twice the ``vec`` index of ``m[j, i]``, and
-    ``Im m[i, j]`` right after it.  ``scatter`` picks each float of a
-    Hermitian matrix from the coordinates times ``weights``, followed by the
-    negated anti-Hermitian ones and a zero.  Coordinate ``p`` of the
-    Hermitian part of a matrix is
-    ``mix[0, p] floats[gather[0, p]] + mix[1, p] floats[gather[1, p]]``.
+    Each row of either map has one or two nonzeros, so entry ``p`` of its
+    product with ``x`` is ``weights[0, p] x[index[0, p]] + weights[1, p] x[index[1, p]]``
+    (a diagonal entry picks one element twice, with weights ``1/2``).  The
+    third pair gives ``U^H r`` of a real ``r`` float by float, the real and
+    imaginary part of each entry in turn: one weighted entry of ``[r, 0]``
+    each, the zero being the imaginary part of a diagonal entry.
     """
-    diag, upper, lower = (2 * index for index in _hermitian_index(n))
-    ij, ji = lower, upper  # floats of m[i, j] and m[j, i]
-    m, size = ij.shape[0], n * n
-    sym, anti = n + np.arange(m), n + m + np.arange(m)
-    scatter = np.empty(2 * size, dtype=np.intp)
-    scatter[diag], scatter[diag + 1] = np.arange(n), size + m  # the appended zero
-    scatter[ij], scatter[ij + 1] = sym, anti
-    scatter[ji], scatter[ji + 1] = sym, anti + m  # the negated copy
-    weights = np.full(size, _SQRT_HALF)
-    weights[:n] = 1.0
-    gather = np.stack([np.concatenate([diag, ij, ij + 1]), np.concatenate([diag, ji, ji + 1])])
-    mix = np.stack([weights, weights])
-    mix[:, :n] = 0.5
-    mix[1, n + m :] *= -1.0
-    return scatter, weights, gather, mix
+    rows, cols = np.triu_indices(n, 1)  # the pairs i < j, in the order of the basis
+    diag, upper, lower = np.arange(n) * (n + 1), cols * n + rows, rows * n + cols  # vec indices
+    m, size = rows.shape[0], n * n
+    index = np.stack([np.concatenate([diag, lower, lower]), np.concatenate([diag, upper, upper])])
+    weights = np.full((2, size), math.sqrt(0.5), dtype=complex)
+    weights[:, :n] = 0.5
+    weights[:, n + m :] *= [[1j], [-1j]]
+    # U^H = conj(U)^T: the two entries of each column of U, in turn
+    by_column = np.argsort(index, axis=None, kind="stable").reshape(size, 2).T
+    back = by_column % size, weights.reshape(-1)[by_column].conj()
+    parts = np.stack([back[1].real, back[1].imag], axis=-1)  # (pick, entry, part)
+    real_index = np.where(parts[0] != 0.0, back[0][0, :, None], back[0][1, :, None])
+    real_index[(parts == 0.0).all(axis=0)] = size
+    return (index, weights), back, (real_index.reshape(-1), parts.sum(axis=0).reshape(-1))
+
+
+def _pick_two(x: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights[0] x[index[0]] + weights[1] x[index[1]]``, row by row along axis 0 of ``x``."""
+    picked = x[index]
+    picked *= weights.reshape(weights.shape + (1,) * (x.ndim - 1))
+    return np.add(picked[0], picked[1])
+
+
+def to_hermitian_basis(x: np.ndarray) -> np.ndarray:
+    """``U x``: coordinates on the Hermitian basis of the ``vec`` vectors along axis 0 of ``x``.
+
+    With ``m = n(n-1)/2`` and the pairs ``i < j`` in the row-major order of
+    the upper triangle, member ``k < n`` of the basis is ``E_kk``, member
+    ``n + p`` is ``(E_ij + E_ji)/sqrt(2)`` and member ``n + m + p`` is
+    ``i(E_ij - E_ji)/sqrt(2)`` for the ``p``-th pair.  The coordinate of
+    ``rho`` on a member ``B`` is ``Tr(B rho)``; for a Hermitian ``rho`` they
+    are ``rho_kk``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij``, with an
+    imaginary part exactly zero when ``rho`` is exactly Hermitian.  The
+    basis is orthonormal in the Hilbert-Schmidt inner product, so ``U`` is
+    unitary.  Nothing is validated.
+    """
+    return _pick_two(np.asarray(x, dtype=complex), *_hermitian_tables(math.isqrt(x.shape[0]))[0])
+
+
+def from_hermitian_basis(r: np.ndarray) -> np.ndarray:
+    """``U^H r``: the ``vec`` vectors with the Hermitian-basis coordinates along axis 0 of ``r``.
+
+    Inverse of :func:`to_hermitian_basis`.  Real coordinates give exactly
+    Hermitian matrices, assembled in real arithmetic.  Nothing is validated.
+    """
+    _, complex_tables, (index, weights) = _hermitian_tables(math.isqrt(r.shape[0]))
+    if r.dtype.kind == "c":
+        return _pick_two(r, *complex_tables)
+    floats = np.concatenate([r, np.zeros((1,) + r.shape[1:])])[index]
+    floats *= weights.reshape(weights.shape + (1,) * (r.ndim - 1))
+    return np.ascontiguousarray(floats.T).view(complex).T
 
 
 class HermitianView:
-    """The generator of a :class:`LiouvilleOperator` on real coordinates of Hermitian matrices.
+    """The generator of a :class:`LiouvilleOperator` on Hermitian-basis coordinates.
 
-    The coordinates are those of
-    :func:`~lindbladmv.vectorized.to_hermitian_basis`, which are orthonormal
-    in the Hilbert-Schmidt inner product, so the real dot product of two
-    coordinate vectors is the Hilbert-Schmidt one.  :meth:`matvec` maps real
-    coordinates to the real coordinates of the image: :meth:`matrix`
-    scatters them into an exactly Hermitian ``M``, one product stacks
+    The coordinates are those of :func:`to_hermitian_basis`, whose dot
+    product is the Hilbert-Schmidt one.  :meth:`matvec` maps real or complex
+    coordinates to those of the image, of the same type.  Real coordinates
+    are those of an exactly Hermitian ``M`` (:meth:`matrix`); one product stacks
     ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by ``Kn x n``
     product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the Hamiltonian
     part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian part of
     ``-2i X``, so :meth:`coordinates` of the sum, which keep only its
-    Hermitian part, are those of the generator's image.  Index tables are
-    built once per ``n``; nothing is validated.
+    Hermitian part, are those of the generator's image.  Complex coordinates
+    go through :meth:`LiouvilleOperator.apply`.  Nothing is validated.
     """
 
+    #: Real, so :func:`~lindbladmv.linalg.expm_action` runs in the type of its vector.
     dtype = np.dtype(float)
 
     def __init__(self, operator: LiouvilleOperator):
         n = operator.dim
         self.dim, self.shape, self.norm_bound = n, operator.shape, operator.norm_bound
+        self._apply = operator.apply
+        # Re(U vec x) from the floats of a C-ordered x: vec index b n + a is float 2 (a n + b),
+        # plus one where an imaginary weight reads it
+        (index, weights), _, _ = _hermitian_tables(n)
+        self._real_index = 2 * (index % n * n + index // n) + (weights.imag != 0.0)
+        self._real_mix = weights.real - weights.imag
         self._stacked = np.concatenate([-2j * operator.h_eff] + [s for s, _ in operator.jumps])
         self._jumps_dag = np.concatenate([d for _, d in operator.jumps]) if operator.jumps else None
-        self._scatter, self._weights, self._gather, self._mix = _hermitian_tables(n)
 
     def matrix(self, r: np.ndarray) -> np.ndarray:
-        """The exactly Hermitian ``n x n`` matrix with real coordinates ``r``."""
-        n = self.dim
-        weighted = r * self._weights
-        extended = np.concatenate([weighted, -weighted[(n * n + n) // 2 :], [0.0]])
-        return extended[self._scatter].view(complex).reshape(n, n)
+        """The ``n x n`` matrix with coordinates ``r``, exactly Hermitian when ``r`` is real."""
+        return from_hermitian_basis(r).reshape((self.dim, self.dim), order="F")
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The real coordinates of the Hermitian part ``(x + x^dag) / 2`` of an ``n x n`` matrix."""
         floats = np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float)
-        picked = floats[self._gather]
-        return picked[0] * self._mix[0] + picked[1] * self._mix[1]
+        return _pick_two(floats, self._real_index, self._real_mix)
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
-        """The generator on real coordinates ``r`` of length ``n^2``."""
+        """The generator on coordinates ``r`` of length ``n^2``."""
+        if r.dtype.kind == "c":
+            return to_hermitian_basis(self._apply(self.matrix(r)).reshape(-1, order="F"))
         n = self.dim
         products = self._stacked @ self.matrix(r)
         image = products[:n]

@@ -4,18 +4,17 @@ Column-stacking convention throughout: entry ``(a, b)`` of an ``n x n``
 matrix lands at flat index ``b*n + a`` (0-based).  Left multiplication
 ``A rho`` becomes ``kron(I, A)``, right multiplication ``rho B`` becomes
 ``kron(B.T, I)``, and a sandwich ``A rho B`` becomes ``kron(B.T, A)``.
-The matrix-free propagation path applies the model's
-:class:`~lindbladmv.model.LiouvilleOperator` to the same vectors instead.
-
-The dense kernels work in coordinates on the orthonormal Hermitian basis
-(see :func:`to_hermitian_basis`), the unitary change of basis ``U`` from
-``vec``.  A Lindblad generator maps Hermitian matrices to Hermitian ones,
-so on that basis its matrix and the coordinates of a state are real.
+Every kernel works in coordinates on the orthonormal Hermitian basis
+(:func:`~lindbladmv.model.to_hermitian_basis`, re-exported here), the
+unitary change of basis ``U`` from ``vec``: the dense ones on ``U S U^H``,
+the matrix-free propagation path on the model's
+:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`.  A Lindblad
+generator maps Hermitian matrices to Hermitian ones, so on that basis its
+matrix and the coordinates of a Hermitian state are real.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -24,12 +23,12 @@ import numpy as np
 from .errors import ComputedStateError, ValidationError
 from .linalg import EPS, EigenDecomposition, _as_array, as_square, as_times, eig, propagate_linear
 from .model import (
-    _SQRT_HALF,
     TRACE_RTOL,
     DensityMatrix,
     LindbladModel,
-    _hermitian_index,
+    from_hermitian_basis,
     state_violations,
+    to_hermitian_basis,
     validate_state,
 )
 
@@ -44,52 +43,6 @@ def vec(rho) -> np.ndarray:
 def unvec(r, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`: rebuild the ``dim x dim`` matrix from a flat vector."""
     return _as_array(r, "r", (1,), dim * dim).reshape((dim, dim), order="F")
-
-
-def _hermitian_mix(x, anti: complex) -> np.ndarray:
-    """Rows ``x[diag]``, ``(x[lower] + x[upper]) / sqrt(2)`` and ``anti * (x[lower] - x[upper])``."""
-    diag, upper, lower = _hermitian_index(math.isqrt(x.shape[0]))
-    n, m = diag.shape[0], upper.shape[0]
-    below, above = x[lower], x[upper]
-    out = np.empty(x.shape, dtype=complex)
-    out[:n] = x[diag]
-    np.add(below, above, out=out[n : n + m])
-    out[n : n + m] *= _SQRT_HALF
-    np.subtract(below, above, out=out[n + m :])
-    out[n + m :] *= anti
-    return out
-
-
-def to_hermitian_basis(x) -> np.ndarray:
-    """``U x``: coordinates on the Hermitian basis of the ``vec`` vectors along axis 0 of ``x``.
-
-    With ``m = n(n-1)/2`` and the pairs ``i < j`` in the row-major order of
-    the upper triangle, member ``k < n`` of the basis is ``E_kk``, member
-    ``n + p`` is ``(E_ij + E_ji)/sqrt(2)`` and member ``n + m + p`` is
-    ``i(E_ij - E_ji)/sqrt(2)`` for the ``p``-th pair.  The coordinate of
-    ``rho`` on a member ``B`` is ``Tr(B rho)``; for a Hermitian ``rho`` they
-    are ``rho_kk``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij``, with an
-    imaginary part exactly zero when ``rho`` is exactly Hermitian.  Each row
-    of ``U`` has one or two nonzeros, so this is a gather and a 2x2 mix.
-    """
-    return _hermitian_mix(x, 1j * _SQRT_HALF)
-
-
-def from_hermitian_basis(r) -> np.ndarray:
-    """``U^H r``: the ``vec`` vectors with the Hermitian-basis coordinates along axis 0 of ``r``.
-
-    Inverse of :func:`to_hermitian_basis`; real coordinates give exactly
-    Hermitian matrices.
-    """
-    n = math.isqrt(r.shape[0])
-    diag, upper, lower = _hermitian_index(n)
-    sym = _SQRT_HALF * r[n : n + upper.shape[0]]
-    anti = (1j * _SQRT_HALF) * r[n + upper.shape[0] :]
-    out = np.empty(r.shape, dtype=complex)
-    out[diag] = r[:n]
-    out[upper] = sym + anti
-    out[lower] = sym - anti
-    return out
 
 
 @dataclass(frozen=True)
@@ -152,9 +105,9 @@ def hermitian_matrix(superop: Superoperator) -> np.ndarray:
     imaginary part.  Complex for a hand-built one, whose eigenvalues are
     those of ``S`` all the same.
     """
-    # the columns of U^H are the conjugated rows of U
-    r = _hermitian_mix(to_hermitian_basis(superop.matrix).T, -1j * _SQRT_HALF).T
-    return np.ascontiguousarray(r.real) if superop.model is not None else r
+    left = to_hermitian_basis(superop.matrix)
+    r = to_hermitian_basis(np.conjugate(left, out=left).T)  # U (U S)^H, the adjoint of U S U^H
+    return np.ascontiguousarray(r.real.T) if superop.model is not None else r.conj().T
 
 
 def propagate(
@@ -166,19 +119,17 @@ def propagate(
 ) -> list[DensityMatrix]:
     """Evolve the state ``rho0`` to each requested time.
 
-    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`;
-    both methods step through :func:`~lindbladmv.linalg.propagate_linear`.
-    ``method="expm"`` uses the dense exponential of the superoperator
-    matrix (assembled here when ``system`` is a model) on the Hermitian
-    basis, in real arithmetic for a model's matrix and an exactly Hermitian
-    ``rho0``.
+    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`.
+    Both methods step the Hermitian-basis coordinates ``U vec(rho0)``, real
+    when ``rho0`` equals its conjugate transpose exactly, through
+    :func:`~lindbladmv.linalg.propagate_linear` and map them back once.
+    ``method="expm"`` uses the dense exponential of the superoperator matrix
+    (assembled here when ``system`` is a model) on the Hermitian basis.
     ``method="expm_action"`` never uses the dense matrix: it applies the
-    model's matrix-free :attr:`LindbladModel.operator` (the model recorded
-    by :func:`build_superoperator`; any other superoperator is applied
-    through its matrix), on real Hermitian-basis coordinates
-    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`) when ``rho0``
-    equals its conjugate transpose exactly, on complex ``vec`` vectors
-    otherwise.
+    model's matrix-free generator on the Hermitian basis
+    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian` of the model
+    recorded by :func:`build_superoperator`; any other superoperator is
+    applied through its matrix).
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the
@@ -196,19 +147,13 @@ def propagate(
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
     times = as_times(times)
     r0 = to_hermitian_basis(vec(rho0))
-    hermitian = not r0.imag.any()
+    r0 = r0 if r0.imag.any() else r0.real
     if method == "expm_action" and model is not None:
-        norm = model.operator.norm_bound
-        if hermitian:
-            r = propagate_linear(model.operator.hermitian, r0.real, times)
-            vectors = from_hermitian_basis(r.T).T
-        else:
-            vectors = propagate_linear(model.operator, vec(rho0), times)
+        generator, norm = model.operator.hermitian, model.operator.norm_bound
     else:
         superop = superop if superop is not None else build_superoperator(model)
-        norm = np.linalg.norm(superop.matrix, 1)
-        r = propagate_linear(hermitian_matrix(superop), r0.real if hermitian else r0, times)
-        vectors = from_hermitian_basis(r.T).T
+        generator, norm = hermitian_matrix(superop), np.linalg.norm(superop.matrix, 1)
+    vectors = from_hermitian_basis(propagate_linear(generator, r0, times).T).T
     states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
     violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
     if violations:

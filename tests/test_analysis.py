@@ -230,10 +230,10 @@ class TestBenchmark:
         ]
         text = benchmark_csv(records)
         lines = text.strip().split("\n")
-        assert lines[0] == "n,method,wall_time_s,result_error"
+        assert lines[0] == "n,method,wall_time_s,result_error,status"
         assert len(lines) == 4  # one row per record, completed or not
         assert lines[1].startswith("2,full-expm,")
-        assert lines[3].endswith("nan")
+        assert lines[3] == "2,expm-action,0.25,,timeout"
 
     def test_slope_fit(self):
         records = [

@@ -17,7 +17,7 @@ from lindbladmv.model import (
     validate_state,
 )
 from lindbladmv.tls import EXCITED, GROUND, IDENTITY, SX, SY, SZ, TLSParams, build_tls
-from lindbladmv.vectorized import from_hermitian_basis, to_hermitian_basis, vec
+from lindbladmv.vectorized import from_hermitian_basis, to_hermitian_basis, unvec, vec
 
 from conftest import random_hermitian
 
@@ -287,3 +287,15 @@ def test_hermitian_view_matches_the_generator(seed, n, n_jumps):
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     hermitian_part = to_hermitian_basis(vec(0.5 * (x + x.conj().T))).real
     assert np.linalg.norm(view.coordinates(x) - hermitian_part) <= 4 * EPS * np.linalg.norm(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), n_jumps=st.integers(0, 3))
+def test_hermitian_view_on_complex_coordinates(seed, n, n_jumps):
+    rng = np.random.default_rng(seed)
+    operator = random_model(rng, n, n_jumps=n_jumps).operator
+    r = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
+    image = operator.hermitian.matvec(r)
+    assert image.dtype == complex
+    expected = to_hermitian_basis(vec(operator.apply(unvec(from_hermitian_basis(r), n))))
+    assert np.linalg.norm(image - expected) <= 1e-13 * operator.norm_bound * np.linalg.norm(r)
