@@ -15,9 +15,9 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import _as_array, as_square, expm, expm_action, hs_norm
+from .linalg import _as_array, as_square, hs_norm
 from .model import random_density, random_model
-from .vectorized import Superoperator, build_superoperator, spectrum, unvec, vec
+from .vectorized import Superoperator, build_superoperator, propagate, spectrum, unvec, vec
 
 #: Eigenvector condition number beyond which a spectrum counts as defective.
 DEFECTIVE_CONDITION_LIMIT = 1e8
@@ -155,31 +155,34 @@ class BenchRecord:
     status: str = "ok"
 
 
-def _diagonal_propagate(matrix, r0, t):
-    """``exp(matrix t) r0`` from the eigendecomposition of a diagonalizable ``matrix``."""
-    values, vectors = scipy.linalg.eig(matrix)
-    return vectors @ (np.exp(values * t) * np.linalg.solve(vectors, r0))
+def _diagonal_propagate(superop: Superoperator, rho0) -> np.ndarray:
+    """The state at ``BENCH_TIME`` from the eigendecomposition of a diagonalizable generator."""
+    values, vectors = scipy.linalg.eig(superop.matrix)
+    r = vectors @ (np.exp(values * BENCH_TIME) * np.linalg.solve(vectors, vec(rho0)))
+    return unvec(r, superop.dim_hilbert)
 
 
-def _method_runner(method, model, superop, r0, rho0):
-    n = model.dim
+def _method_runner(method, model, superop, rho0):
+    """A call that propagates ``rho0`` to ``BENCH_TIME`` by ``method`` and returns the state.
+
+    ``full-expm`` and ``expm-action`` run :func:`~lindbladmv.vectorized.propagate`
+    as ``propagate --method vec`` and ``--method expm-action`` do, and
+    ``arnoldi-<k>`` the reduction of ``propagate --method arnoldi --krylov-dim k``.
+    """
     if method == "full-diagonalization":
-        return lambda: _diagonal_propagate(superop.matrix, r0, BENCH_TIME)
+        return lambda: _diagonal_propagate(superop, rho0)
     if method == "full-expm":
-        return lambda: expm(superop.matrix, BENCH_TIME) @ r0
+        return lambda: propagate(superop, rho0, [BENCH_TIME])[0].matrix
     if method == "expm-action":
-        return lambda: expm_action(model.operator, r0, BENCH_TIME)
+        return lambda: propagate(model, rho0, [BENCH_TIME], method="expm_action")[0].matrix
     if method.startswith("arnoldi-"):
         try:
             k = int(method.split("-", 1)[1])
         except ValueError:
             raise ValidationError(f"bad arnoldi method tag {method!r}")
-        k = min(k, n * n - 1)
+        k = min(k, model.dim**2 - 1)
         norm0 = hs_norm(rho0)
-        def run():
-            reduction = arnoldi_reduce(model, rho0, k)
-            return vec(propagate_reduced(reduction, [BENCH_TIME])[0]) * norm0
-        return run
+        return lambda: propagate_reduced(arnoldi_reduce(model, rho0, k), [BENCH_TIME])[0] * norm0
     raise ValidationError(f"unknown benchmark method {method!r}")
 
 
@@ -190,7 +193,6 @@ def run_benchmark(
     *,
     repeats: int = 5,
     timeout_s: float | None = None,
-    model_factory=None,
 ) -> list[BenchRecord]:
     """Time every method propagating the same random model at each dimension.
 
@@ -199,24 +201,27 @@ def run_benchmark(
     ``result_error`` is the HS-norm distance of the produced state from a
     dense eigendecomposition reference.  A warm-up run exceeding
     ``timeout_s`` marks the cell ``"timeout"`` instead of aborting the
-    sweep.  ``model_factory`` (callable ``(rng, n) -> LindbladModel``)
-    overrides the random model generator.
+    sweep.  ``seed`` must be non-negative, ``repeats`` at least 1 and
+    ``timeout_s``, when given, non-negative.
     """
     dims = [int(n) for n in dims]
     if any(n < 2 for n in dims):
         raise ValidationError("benchmark dimensions must be >= 2")
-    if model_factory is None:
-        model_factory = random_model
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    if timeout_s is not None and not timeout_s >= 0.0:  # NaN fails too
+        raise ValidationError(f"timeout_s must be >= 0, got {timeout_s}")
     rng = np.random.default_rng(seed)
     records = []
     for n in dims:
-        model = model_factory(rng, n)
+        model = random_model(rng, n)
         rho0 = random_density(rng, n)
         superop = build_superoperator(model)
-        r0 = vec(rho0.matrix)
-        reference = unvec(_diagonal_propagate(superop.matrix, r0, BENCH_TIME), n)
+        reference = _diagonal_propagate(superop, rho0)
         for method in methods:
-            run = _method_runner(method, model, superop, r0, rho0)
+            run = _method_runner(method, model, superop, rho0)
             start = time.perf_counter()
             result = run()  # warm-up, discarded from timing
             warmup = time.perf_counter() - start
@@ -228,7 +233,7 @@ def run_benchmark(
                 start = time.perf_counter()
                 result = run()
                 samples.append(time.perf_counter() - start)
-            error = float(np.linalg.norm(unvec(result, n) - reference))
+            error = float(np.linalg.norm(result - reference))
             records.append(BenchRecord(n, method, float(np.median(samples)), error))
     return records
 

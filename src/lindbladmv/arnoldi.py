@@ -19,7 +19,6 @@ from .linalg import (
     _as_array,
     arnoldi_iteration,
     as_square,
-    check_krylov_dim,
     eig,
 )
 from .linalg import hs_inner, hs_norm, propagate_linear
@@ -64,7 +63,11 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     breakdown truncates the reduction to the invariant subspace found.
     """
     n = model.dim
-    check_krylov_dim(krylov_dim, 0, n * n - 1)
+    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
+    if not integer or not 0 <= krylov_dim <= n * n - 1:
+        raise ValidationError(
+            f"krylov_dim must be an integer in [0, {n * n - 1}], got {krylov_dim!r}"
+        )
     rho0 = as_square(rho0, "rho0", n)
     norm0 = hs_norm(rho0)
     if norm0 == 0.0:

@@ -27,8 +27,9 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_lines(table: np.ndarray) -> list:
+    """One line per row of a float ``table``: the ``repr`` of each entry, comma-separated."""
+    return [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def _emit(text: str, out_path) -> None:
@@ -49,26 +50,32 @@ def cmd_make_tls(args) -> int:
 def cmd_superop(args) -> int:
     model = modelio.load_model(args.model)
     superop = vectorized.build_superoperator(model)
+    matrix = superop.matrix
+    size = matrix.shape[0]
+    parts = _csv_lines(np.stack([matrix.real, matrix.imag], axis=-1).reshape(-1, 2))
     lines = [f"# vec convention: {superop.convention}", "row,col,re,im"]
-    size = superop.matrix.shape[0]
-    for i in range(size):
-        for j in range(size):
-            z = superop.matrix[i, j]
-            lines.append(f"{i},{j},{_fmt(z.real)},{_fmt(z.imag)}")
+    lines += [f"{p // size},{p % size},{re_im}" for p, re_im in enumerate(parts)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
+def _krylov_dim(args, model) -> int:
+    """``--krylov-dim``, which only ``--method arnoldi`` reads, or its default ``n^2 - 1``."""
+    if args.krylov_dim is not None and args.method != "arnoldi":
+        raise ValidationError(f"--krylov-dim needs --method arnoldi, not --method {args.method}")
+    return model.dim**2 - 1 if args.krylov_dim is None else args.krylov_dim
+
+
 def cmd_spectrum(args) -> int:
     model = modelio.load_model(args.model)
+    krylov_dim = _krylov_dim(args, model)
     if args.method == "vec":
         values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":
         if not args.state:
             raise ValidationError("--method arnoldi requires --state")
         rho0 = validate_state(modelio.load_state(args.state))
-        k = args.krylov_dim if args.krylov_dim is not None else model.dim**2 - 1
-        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, k).hessenberg)
+        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, krylov_dim).hessenberg)
     elif args.method == "heisenberg":
         if not args.basis:
             raise ValidationError("--method heisenberg requires --basis")
@@ -78,9 +85,8 @@ def cmd_spectrum(args) -> int:
         values = np.conj(eigvals(rep.coeffs))
     else:
         raise ValidationError(f"unknown method {args.method!r}")
-    order = np.lexsort((values.imag, values.real))  # the conjugate reverses each pair
-    lines = [f"{_fmt(z.real)},{_fmt(z.imag)}" for z in values[order]]
-    _emit("\n".join(lines) + "\n", args.out)
+    values = values[np.lexsort((values.imag, values.real))]  # the conjugate reverses each pair
+    _emit("\n".join(_csv_lines(np.column_stack([values.real, values.imag]))) + "\n", args.out)
     return EXIT_OK
 
 
@@ -93,8 +99,7 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
         states = vectorized.propagate(model, rho0, times, method=inner)
         rows = heisenberg.expectations(ops, np.stack([state.matrix for state in states]))
     elif method == "arnoldi":
-        k = krylov_dim if krylov_dim is not None else model.dim**2 - 1
-        reduction = arnoldi.arnoldi_reduce(model, rho0, k)
+        reduction = arnoldi.arnoldi_reduce(model, rho0, krylov_dim)
         states = arnoldi.propagate_reduced(reduction, times) * hs_norm(rho0.matrix)
         rows = heisenberg.expectations(ops, states)
     elif method == "heisenberg":
@@ -115,15 +120,11 @@ def cmd_propagate(args) -> int:
     if args.t1 < args.t0:
         raise ValidationError(f"--t1 must be >= --t0, got {args.t0} > {args.t1}")
     times = np.linspace(args.t0, args.t1, args.steps)
-    labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, args.krylov_dim)
+    krylov_dim = _krylov_dim(args, model)
+    labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, krylov_dim)
     header = "t," + ",".join(f"{label}_re,{label}_im" for label in labels)
-    lines = [header]
-    for t, row in zip(times, rows):
-        cells = [_fmt(t)]
-        for z in row:
-            cells.append(_fmt(z.real))
-            cells.append(_fmt(z.imag))
-        lines.append(",".join(cells))
+    parts = np.stack([rows.real, rows.imag], axis=-1).reshape(len(times), -1)  # re, im by turns
+    lines = [header] + _csv_lines(np.column_stack([times, parts]))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -146,7 +147,10 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    dims = [int(s) for s in args.dims.split(",") if s]
+    try:
+        dims = [int(s) for s in args.dims.split(",") if s]
+    except ValueError:
+        raise ValidationError(f"--dims must list integers, got {args.dims!r}") from None
     methods = [s for s in args.methods.split(",") if s]
     records = analysis.run_benchmark(
         dims, methods, seed=args.seed, repeats=args.repeats, timeout_s=args.timeout

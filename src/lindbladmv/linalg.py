@@ -30,6 +30,10 @@ ACTION_RTOL = 1e-12
 #: A growing basis of :func:`expm_action` checks its estimate at the last grid
 #: time after every this many steps.
 GROWTH_CHECK = 10
+#: Most products with the operator in one Krylov basis of :func:`expm_action`.
+KRYLOV_CAP = 100
+#: Most Krylov bases one :func:`expm_action` call builds before it gives up.
+MAX_BASES = 10_000
 
 
 def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
@@ -65,14 +69,6 @@ def as_square(a, name: str = "matrix", n: int | None = None, *, dtype=complex) -
     """``a`` as a finite square matrix, ``n x n`` when ``n`` is given: the
     square-matrix case of :func:`_as_array`, with its ``dtype``."""
     return _as_array(a, name, (2,), n, dtype=dtype)
-
-
-def check_krylov_dim(krylov_dim, low: int, high: int | None = None) -> None:
-    """Raise :class:`ValidationError` unless ``krylov_dim`` is an integer in ``[low, high]``."""
-    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
-    if not integer or krylov_dim < low or (high is not None and krylov_dim > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValidationError(f"krylov_dim must be an integer {bound}, got {krylov_dim!r}")
 
 
 def hs_inner(a, b):
@@ -180,31 +176,24 @@ def _augmented(hess: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_action(
-    m,
-    v,
-    t=1.0,
-    *,
-    krylov_dim: int = 100,
-    max_steps: int = 10_000,
-) -> np.ndarray:
+def expm_action(m, v, t=1.0) -> np.ndarray:
     """Compute ``exp(m * t) @ v`` without forming the full exponential.
 
     ``m`` is a square matrix or a matrix-free linear operator: any object
     with a ``shape`` of ``(N, N)`` and a ``matvec(x)`` method returning the
     product with a length-``N`` vector, such as
-    :class:`lindbladmv.model.LiouvilleOperator`, and optionally a ``dtype``
-    (complex when absent).  An operator is trusted as given; a matrix is
-    validated.  The Krylov basis and the result take the result type of
-    ``m`` and ``v``, so a real operator and a real ``v`` run in real
+    :attr:`lindbladmv.model.LiouvilleOperator.hermitian`, and optionally a
+    ``dtype`` (complex when absent).  An operator is trusted as given; a
+    matrix is validated.  The Krylov basis and the result take the result
+    type of ``m`` and ``v``, so a real operator and a real ``v`` run in real
     arithmetic.  ``t`` is a finite scalar, which gives a length-``N``
     result, or a 1-D grid of finite, non-negative, ascending times, which
     gives ``(T, N)`` with row ``i`` equal to ``exp(m t_i) @ v``.
 
     Each Krylov basis comes from :func:`arnoldi_iteration` with at most
-    ``krylov_dim`` products with ``m``.  The basis grows until, checked every
-    ``GROWTH_CHECK`` steps, the error estimate at the last grid time meets
-    the bound, or up to ``krylov_dim``.  The estimate of the approximation
+    ``KRYLOV_CAP`` products with ``m``.  The basis grows until, checked
+    every ``GROWTH_CHECK`` steps, the error estimate at the last grid time
+    meets the bound, or up to the cap.  The estimate of the approximation
     ``beta V_k exp(tau H_k) e_1`` is ``beta h_{k+1,k} |[tau phi_1(tau H_k)]_{k,1}|``,
     read off the exponential of the augmented ``(k + 1) x (k + 1)`` matrix,
     and the bound is ``ACTION_RTOL * beta``, ``beta`` being the norm of the
@@ -217,11 +206,14 @@ def expm_action(
     up to the first that fails it; the next basis starts from the last
     time served.
 
+    The bound holds for each basis, not for each output: an output reached
+    through several bases carries the sum of their errors.  At the default
+    cap a propagation takes few bases and the sum stays near the bound; with
+    a cap of 1, 8192 bases to ``t = 1e-8`` leave a relative error of ``8.2e-9``.
+
     Raises :class:`ConvergenceError` when the step control stalls or the
-    grid is not covered within ``max_steps`` bases, and
-    :class:`ValidationError` unless ``krylov_dim`` is an integer >= 1.
+    grid is not covered within ``MAX_BASES`` bases.
     """
-    check_krylov_dim(krylov_dim, 1)
     if hasattr(m, "matvec"):
         apply, shape, dtype, is_zero = m.matvec, tuple(m.shape), getattr(m, "dtype", complex), False
     else:
@@ -244,7 +236,7 @@ def expm_action(
             and abs(scipy.linalg.expm(horizon * _augmented(hess))[-1, 0]) <= ACTION_RTOL
         )
 
-    dim = min(krylov_dim, n)
+    dim = min(KRYLOV_CAP, n)
     w, i, remaining, step_guess, steps = v, 0, grid[0], np.inf, 0
     while i < grid.shape[0]:
         if remaining == 0.0:  # w is the state at grid[i]
@@ -257,9 +249,9 @@ def expm_action(
         if beta == 0.0 or not np.isfinite(beta):  # zero stays zero; overflow is reported by callers
             out[i:] = w
             break
-        if steps == max_steps:
+        if steps == MAX_BASES:
             raise ConvergenceError(
-                f"expm_action did not reach t = {grid[-1]!r} with {max_steps} Krylov bases",
+                f"expm_action did not reach t = {grid[-1]!r} with {MAX_BASES} Krylov bases",
                 residual=abs(grid[-1] - grid[i] + remaining),
             )
         steps += 1

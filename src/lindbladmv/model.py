@@ -78,28 +78,26 @@ class LindbladModel:
 
 
 class LiouvilleOperator:
-    """The generator as a matrix-free linear operator on column-stacked states.
+    """The generator applied matrix-free, as products of ``n x n`` matrices.
 
     With ``L_k = sqrt(g_k) A_k`` and ``H_eff = H - (i/2) sum_k L_k^dag L_k``
     (both precomputed), the generator is
     ``L rho = -i(H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag`` and its
     adjoint ``L^dag X = i(H_eff^dag X - X H_eff) + sum_k L_k^dag X L_k``:
-    ``2 + 2K`` matrix products per application.  :meth:`matvec` acts on
-    ``vec(rho)`` (``order="F"``) like the ``n^2 x n^2`` superoperator matrix,
-    whose ``n^4`` entries are never formed.  :meth:`apply` and
-    :meth:`apply_adjoint` also act on a ``(k, n, n)`` stack, matrix by
-    matrix.  No method validates its input; callers check shapes at the API
-    boundary.
+    ``2 + 2K`` matrix products per application, and the ``n^4`` entries of
+    the superoperator matrix are never formed.  :meth:`apply` and
+    :meth:`apply_adjoint` act on an ``n x n`` matrix or a ``(k, n, n)``
+    stack, matrix by matrix.  No method validates its input; callers check
+    shapes at the API boundary.
 
     ``norm_bound`` is ``nu = 2 ||H_eff||_F + sum_k ||L_k||_F^2``, which
     bounds the generator and its adjoint: ``||L rho||_F <= nu ||rho||_F``.
-    :attr:`hermitian` is the same generator on Hermitian-basis coordinates.
+    :attr:`hermitian` is the same generator as a linear operator on
+    Hermitian-basis coordinates, the one that Krylov methods apply.
     """
 
     def __init__(self, model: LindbladModel):
-        n = model.dim
-        self.dim = n
-        self.shape = (n * n, n * n)
+        self.dim = model.dim
         jumps = []
         h_eff = model.hamiltonian
         for rate, op in model.jumps:
@@ -129,11 +127,6 @@ class LiouvilleOperator:
         for scaled, scaled_dag in self.jumps:
             out += scaled_dag @ x @ scaled
         return out
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The generator on a column-stacked state of length ``n^2``."""
-        n = self.dim
-        return self.apply(v.reshape((n, n), order="F")).reshape(-1, order="F")
 
     @cached_property
     def hermitian(self) -> "HermitianView":
@@ -225,7 +218,7 @@ class HermitianView:
 
     def __init__(self, operator: LiouvilleOperator):
         n = operator.dim
-        self.dim, self.shape, self.norm_bound = n, operator.shape, operator.norm_bound
+        self.dim, self.shape, self.norm_bound = n, (n * n, n * n), operator.norm_bound
         self._apply = operator.apply
         # Re(U vec x) from the floats of a C-ordered x: vec index b n + a is float 2 (a n + b),
         # plus one where an imaginary weight reads it

@@ -125,11 +125,12 @@ def propagate(
     :func:`~lindbladmv.linalg.propagate_linear` and map them back once.
     ``method="expm"`` uses the dense exponential of the superoperator matrix
     (assembled here when ``system`` is a model) on the Hermitian basis.
-    ``method="expm_action"`` never uses the dense matrix: it applies the
+    ``method="expm_action"`` on a model, or on a superoperator made by
+    :func:`build_superoperator`, never uses the dense matrix: it applies the
     model's matrix-free generator on the Hermitian basis
-    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian` of the model
-    recorded by :func:`build_superoperator`; any other superoperator is
-    applied through its matrix).
+    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`).  A hand-built
+    or replaced superoperator has no model, so with either method it runs
+    the dense exponential of its matrix.
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the

@@ -212,15 +212,35 @@ class TestBenchmark:
         assert records[0].status == "timeout"
         assert np.isnan(records[0].result_error)
 
-    def test_trivial_model_exact_everywhere(self):
+    def test_trivial_model_exact_everywhere(self, monkeypatch):
+        import lindbladmv.analysis as analysis
+
+        zero = lambda rng, n: LindbladModel(np.zeros((n, n)))  # noqa: E731
+        monkeypatch.setattr(analysis, "random_model", zero)
         records = run_benchmark(
             [2, 3],
             ["full-diagonalization", "full-expm", "expm-action", "arnoldi-3"],
             seed=0,
             repeats=1,
-            model_factory=lambda rng, n: LindbladModel(np.zeros((n, n))),
         )
         assert all(rec.result_error <= 1e-15 for rec in records)
+
+    def test_cells_time_the_propagation_the_cli_runs(self):
+        import lindbladmv.analysis as analysis
+
+        seed, n = 4, 3
+        records = run_benchmark([n], ["full-expm", "expm-action"], seed=seed, repeats=1)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n)
+        rho0 = random_density(rng, n)
+        superop = build_superoperator(model)
+        reference = analysis._diagonal_propagate(superop, rho0)
+        states = {
+            "full-expm": propagate(superop, rho0, [analysis.BENCH_TIME])[0],
+            "expm-action": propagate(model, rho0, [analysis.BENCH_TIME], method="expm_action")[0],
+        }
+        for rec in records:
+            assert rec.result_error == float(np.linalg.norm(states[rec.method].matrix - reference))
 
     def test_csv_format(self):
         records = [
@@ -246,6 +266,15 @@ class TestBenchmark:
     def test_rejects_tiny_dims(self):
         with pytest.raises(ValidationError):
             run_benchmark([1], ["full-expm"], seed=0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"seed": -1}, {"repeats": 0}, {"timeout_s": np.nan}, {"timeout_s": -1.0}],
+        ids=["seed", "repeats", "nan-timeout", "negative-timeout"],
+    )
+    def test_rejects_bad_options(self, options):
+        with pytest.raises(ValidationError):
+            run_benchmark([2], ["full-expm"], **{"seed": 0, **options})
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):

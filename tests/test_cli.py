@@ -356,6 +356,73 @@ def test_bench_csv_and_slopes(tmp_path, capsys):
     assert "slope ordering:" in printed
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--dims", "2,x"],
+        ["--dims", "2.5"],
+        ["--dims", "2", "--seed", "-1"],
+        ["--dims", "2", "--repeats", "0"],
+        ["--dims", "2", "--timeout", "nan"],
+        ["--dims", "2", "--timeout", "-1"],
+    ],
+)
+def test_bench_rejects_bad_options(tmp_path, capsys, options):
+    out_path = tmp_path / "bench.csv"
+    argv = ["bench", "--methods", "full-expm", "--repeats", "1", "--out", str(out_path)]
+    assert main(argv + options) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "vec"],
+        ["--method", "expm-action"],
+        ["--method", "heisenberg"],
+        ["spectrum"],
+        ["spectrum", "--method", "heisenberg"],
+    ],
+)
+def test_krylov_dim_only_with_arnoldi(tls_files, capsys, argv):
+    paths, _ = tls_files
+    if argv[0] == "spectrum":
+        argv = argv + [str(paths["model"]), "--basis", str(paths["basis"])]
+    else:
+        argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
+                "--observables", str(paths["obs"]), "--t1", "1", "--steps", "3"] + argv
+    assert main(argv + ["--krylov-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "--method arnoldi" in captured.err and captured.out == ""
+
+
+def test_tables_print_the_repr_of_every_cell(tls_files, capsys, monkeypatch):
+    import lindbladmv.cli as cli
+
+    paths, _ = tls_files
+    rows = np.array([[complex(-0.0, -0.0), -0.25 + 1e-17j], [np.pi + 2.0j, 3.0 - 0.125j]])
+    monkeypatch.setattr(cli, "_trajectory_rows", lambda *a: (["a", "b"], rows))
+    argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
+            "--observables", str(paths["obs"]), "--t0", "0.5", "--t1", "1", "--steps", "2"]
+    assert main(argv) == 0
+    expected = ["t,a_re,a_im,b_re,b_im"]
+    for t, row in zip([0.5, 1.0], rows):
+        cells = [repr(float(t))]
+        for z in row:
+            cells += [repr(float(z.real)), repr(float(z.imag))]
+        expected.append(",".join(cells))
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    assert "-0.0,-0.0" in expected[1]
+
+    values = rows.reshape(-1)
+    monkeypatch.setattr(cli, "eigvals", lambda m: values)
+    assert main(["spectrum", str(paths["model"])]) == 0
+    ordered = sorted(values, key=lambda z: (z.real, z.imag))
+    expected = [f"{float(z.real)!r},{float(z.imag)!r}" for z in ordered]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 

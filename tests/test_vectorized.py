@@ -99,7 +99,8 @@ class TestBuildSuperoperator:
             rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             direct = apply_generator(model, rho)
             via_matrix = unvec(superop.matrix @ vec(rho), n)
-            via_operator = unvec(model.operator.matvec(vec(rho)), n)
+            image = model.operator.hermitian.matvec(to_hermitian_basis(vec(rho)))
+            via_operator = unvec(from_hermitian_basis(image), n)
             scale = max(np.linalg.norm(direct), 1.0)
             assert np.linalg.norm(via_matrix - direct) <= 1e-12 * scale
             assert np.linalg.norm(via_operator - direct) <= 1e-12 * scale
