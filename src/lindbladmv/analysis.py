@@ -7,6 +7,7 @@ benchmark over the propagation methods.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -201,9 +202,15 @@ def run_benchmark(
     ``result_error`` is the HS-norm distance of the produced state from a
     dense eigendecomposition reference.  A warm-up run exceeding
     ``timeout_s`` marks the cell ``"timeout"`` instead of aborting the
-    sweep.  ``seed`` must be non-negative, ``repeats`` at least 1 and
-    ``timeout_s``, when given, non-negative.
+    sweep.  ``dims`` must list integers (NumPy's included, ``bool`` not) and
+    ``methods`` at least one tag; ``seed`` must be non-negative, ``repeats``
+    at least 1 and ``timeout_s``, when given, non-negative.
     """
+    dims, methods = list(dims), list(methods)
+    if not dims or not methods:
+        raise ValidationError("a benchmark needs at least one dimension and one method")
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in dims):
+        raise ValidationError(f"benchmark dimensions must be integers, got {dims!r}")
     dims = [int(n) for n in dims]
     if any(n < 2 for n in dims):
         raise ValidationError("benchmark dimensions must be >= 2")

@@ -59,16 +59,25 @@ def cmd_superop(args) -> int:
     return EXIT_OK
 
 
+def _needs_method(args, dest: str, method: str) -> None:
+    """Reject the option stored in ``dest`` when it is set and ``--method`` is not ``method``,
+    the one method that reads it."""
+    if getattr(args, dest) is not None and args.method != method:
+        option = "--" + dest.replace("_", "-")
+        raise ValidationError(f"{option} needs --method {method}, not --method {args.method}")
+
+
 def _krylov_dim(args, model) -> int:
     """``--krylov-dim``, which only ``--method arnoldi`` reads, or its default ``n^2 - 1``."""
-    if args.krylov_dim is not None and args.method != "arnoldi":
-        raise ValidationError(f"--krylov-dim needs --method arnoldi, not --method {args.method}")
+    _needs_method(args, "krylov_dim", "arnoldi")
     return model.dim**2 - 1 if args.krylov_dim is None else args.krylov_dim
 
 
 def cmd_spectrum(args) -> int:
     model = modelio.load_model(args.model)
     krylov_dim = _krylov_dim(args, model)
+    _needs_method(args, "state", "arnoldi")
+    _needs_method(args, "basis", "heisenberg")
     if args.method == "vec":
         values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":

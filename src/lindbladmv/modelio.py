@@ -55,18 +55,33 @@ def _pair_to_complex(value, where: str) -> complex:
     return complex(_as_float(value[0]), _as_float(value[1]))
 
 
-def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    """Parse ``dim`` rows of ``[re, im]`` pairs, with one ``np.array`` call when well formed.
+def _matrix_hook(obj: dict) -> dict:
+    """``json.load``'s ``object_hook``: each ``matrix`` or ``hamiltonian`` value that one
+    ``np.array`` call turns into numbers of shape ``(m, m, 2)`` becomes that array.
 
-    Each number converts exactly as ``float()`` converts it; other input is walked entry
-    by entry to name the first bad row or entry.
+    The hook runs as each object closes, so a matrix's row and pair lists are freed there
+    and the parsed tree never holds them all, which would set off the cyclic garbage
+    collector.  Any other value stays as parsed, for :func:`_rows_to_matrix` to walk.
     """
-    try:
-        pairs = np.array(rows)
-    except ValueError:  # ragged nesting
-        pairs = np.array(None)
-    if pairs.dtype.kind in "biuf" and pairs.shape == (dim, dim, 2):
-        out = pairs.astype(float).view(complex)[..., 0]
+    for key in ("matrix", "hamiltonian"):
+        if key in obj:
+            try:
+                pairs = np.array(obj[key])
+            except ValueError:  # ragged nesting
+                continue
+            if pairs.dtype.kind in "biuf" and pairs.ndim == 3 and pairs.shape[1:] == (len(pairs), 2):
+                obj[key] = pairs
+    return obj
+
+
+def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
+    """Parse ``dim`` rows of ``[re, im]`` pairs, as :func:`_matrix_hook` left them.
+
+    Each number converts exactly as ``float()`` converts it; input the hook left as
+    lists is walked entry by entry to name the first bad row or entry.
+    """
+    if isinstance(rows, np.ndarray) and rows.shape == (dim, dim, 2):
+        out = rows.astype(float).view(complex)[..., 0]
     else:
         if not isinstance(rows, list) or len(rows) != dim:
             raise ModelFormatError(f"{where}: expected {dim} rows")
@@ -85,7 +100,7 @@ def _load_json(path) -> tuple[dict, int]:
     """The top-level object of a file and its ``dim``, after checking ``dim`` and the labels."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_hook=_matrix_hook)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert

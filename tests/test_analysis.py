@@ -276,6 +276,19 @@ class TestBenchmark:
         with pytest.raises(ValidationError):
             run_benchmark([2], ["full-expm"], **{"seed": 0, **options})
 
+    @pytest.mark.parametrize(
+        "dims, methods",
+        [([2.7], ["full-expm"]), ([True], ["full-expm"]), ([], ["full-expm"]), ([2], [])],
+        ids=["float", "bool", "no-dims", "no-methods"],
+    )
+    def test_rejects_dims_that_are_not_integers_and_empty_sweeps(self, dims, methods):
+        with pytest.raises(ValidationError):
+            run_benchmark(dims, methods, seed=0, repeats=1)
+
+    def test_accepts_numpy_integer_dims(self):
+        (record,) = run_benchmark(np.array([2]), ["full-expm"], seed=0, repeats=1)
+        assert record.n == 2 and type(record.n) is int and record.status == "ok"
+
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             run_benchmark([2], ["cayley"], seed=0)

@@ -155,7 +155,8 @@ def test_spectrum_prints_exact_conjugate_pairs(tmp_path, capsys, rng, method):
     save_model(model_path, random_model(rng, 3, n_jumps=2))
     rho = random_density(rng, 3).matrix
     save_state(state_path, 0.5 * (rho + rho.conj().T))
-    assert main(["spectrum", str(model_path), "--method", method, "--state", str(state_path)]) == 0
+    state = ["--state", str(state_path)] if method == "arnoldi" else []
+    assert main(["spectrum", str(model_path), "--method", method] + state) == 0
     values = read_spectrum(capsys.readouterr().out)
     assert len(values) == 9
     assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
@@ -365,6 +366,8 @@ def test_bench_csv_and_slopes(tmp_path, capsys):
         ["--dims", "2", "--repeats", "0"],
         ["--dims", "2", "--timeout", "nan"],
         ["--dims", "2", "--timeout", "-1"],
+        ["--dims", ","],
+        ["--dims", "2", "--methods", ","],
     ],
 )
 def test_bench_rejects_bad_options(tmp_path, capsys, options):
@@ -395,6 +398,27 @@ def test_krylov_dim_only_with_arnoldi(tls_files, capsys, argv):
     assert main(argv + ["--krylov-dim", "2"]) == 2
     captured = capsys.readouterr()
     assert "--method arnoldi" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "method, option, needs",
+    [
+        ("vec", "state", "--state needs --method arnoldi"),
+        ("heisenberg", "state", "--state needs --method arnoldi"),
+        ("vec", "basis", "--basis needs --method heisenberg"),
+        ("arnoldi", "basis", "--basis needs --method heisenberg"),
+    ],
+)
+def test_spectrum_file_options_only_with_their_method(tls_files, capsys, method, option, needs):
+    paths, _ = tls_files
+    argv = ["spectrum", str(paths["model"]), "--method", method, f"--{option}", str(paths[option])]
+    if method == "arnoldi":
+        argv += ["--state", str(paths["state"])]
+    elif method == "heisenberg":
+        argv += ["--basis", str(paths["basis"])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert needs in captured.err and captured.out == ""
 
 
 def test_tables_print_the_repr_of_every_cell(tls_files, capsys, monkeypatch):
@@ -436,7 +460,7 @@ def test_calls_in_one_process_do_not_share_options(tls_files, tmp_path):
     pairs = [
         (propagate + ["--krylov-dim", "2"], propagate),
         (spectrum + ["--method", "arnoldi", "--krylov-dim", "2"], spectrum + ["--method", "arnoldi"]),
-        (spectrum + ["--method", "arnoldi"], spectrum),
+        (spectrum + ["--method", "arnoldi"], ["spectrum", model]),
     ]
 
     def run(argv):

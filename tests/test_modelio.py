@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -267,6 +268,75 @@ def test_malformed_matrix_messages(tmp_path, matrix, message):
         load_state(path)
     assert str(excinfo.value) == f"{path}: {message}"
 
+
+# each field a matrix is read from: (loader, file object holding matrix m, name in messages)
+MATRIX_FIELDS = {
+    "state": (load_state, lambda m: {"dim": 2, "matrix": m}, "matrix"),
+    "hamiltonian": (load_model, lambda m: {"dim": 2, "hamiltonian": m}, "hamiltonian"),
+    "jump": (
+        load_model,
+        lambda m: {"dim": 2, "hamiltonian": ZERO_2, "jumps": [{"rate": 1.0, "matrix": m}]},
+        "jumps[0].matrix",
+    ),
+    "observable": (
+        load_observables,
+        lambda m: {"dim": 2, "observables": [{"label": "A", "matrix": m}]},
+        "observables[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MATRIX_FIELDS))
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[[1, 0], [0, 0]], [[0, 0]]], ": row 1 must have 2 entries"),
+        (
+            [[[1, 0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "[0][0]: complex scalars must be [re, im] pairs, got [1, 0, 0]",
+        ),
+        ([[["a", 0], [0, 0]], [[0, 0], [0, 0]]], "[0][0]: complex scalars must be [re, im] pairs, got ['a', 0]"),
+        ([[[0, 0]] * 3] * 2, ": row 0 must have 2 entries"),  # (2, 3, 2): not square
+        ([[[0, 0]] * 3] * 3, ": expected 2 rows"),  # (3, 3, 2): square, but not dim x dim
+        ([[[HUGE_INT, 0], [0, 0]], [[0, 0], [0, 0]]], ": contains non-finite entries"),
+        ([[True, False], [False, True]], "[0][0]: complex scalars must be [re, im] pairs, got True"),
+    ],
+    ids=["ragged", "three-entry-pair", "string", "2x3", "3x3", "huge-int", "bare-bools"],
+)
+def test_malformed_matrix_message_in_every_field(tmp_path, field, matrix, message):
+    """Whether or not the parser turned a matrix into an array, the message names the first fault."""
+    loader, document, where = MATRIX_FIELDS[field]
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(document(matrix)))
+    with pytest.raises(ModelFormatError) as excinfo:
+        loader(path)
+    assert str(excinfo.value) == f"{path}: {where}{message}"
+
+
+def test_loading_matrix_units_runs_no_garbage_collection(tmp_path):
+    """Each matrix's lists are freed as its object closes, so the 256 units of n = 16 load
+    without one pass of the cyclic garbage collector."""
+    n = 16
+    units = [(f"E{k}", np.eye(n * n)[k].reshape(n, n)) for k in range(n * n)]
+    path = tmp_path / "units.json"
+    save_observables(path, units)
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        loaded = load_observables(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert passes == []
+    assert [label for label, _ in loaded] == [label for label, _ in units]
+    for (_, got), (_, written) in zip(loaded, units):
+        assert got.dtype == complex
+        assert got.tobytes() == written.astype(complex).tobytes()
 
 _INTS = st.integers(-(2**70), 2**70)
 _FLOATS = st.one_of(
