@@ -62,12 +62,12 @@ class ExpOverflowError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An inner iteration did not converge; ``residual`` holds the best achieved."""
+    """An inner iteration did not converge; ``residual`` says by how much, as its raiser documents."""
 
     def __init__(self, message, residual=None):
         self.residual = residual
         if residual is not None:
-            message = f"{message} (achieved residual {residual:.3e})"
+            message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
 
 

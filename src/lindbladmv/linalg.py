@@ -24,8 +24,9 @@ EPS = float(np.finfo(float).eps)
 #: Arnoldi breakdown: a residual at most this fraction of the norm of the image
 #: it was orthogonalized from leaves an invariant Krylov space.
 BREAKDOWN_RTOL = 1e-12
-#: Residual bound of every output of :func:`expm_action`, relative to the norm
-#: of the vector its Krylov basis starts from.
+#: Error budget of one :func:`expm_action` call: the error estimates of all
+#: Krylov bases on the way to an output sum to at most this times the largest
+#: norm of a vector a basis starts from.
 ACTION_RTOL = 1e-12
 #: A growing basis of :func:`expm_action` checks its estimate at the last grid
 #: time after every this many steps.
@@ -143,10 +144,12 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(m * t)``, real for a real floating ``m``.
 
     Uses scaling-and-squaring with a Pade core, with the order chosen from
-    the scaled norm.  Overflow is reported, never silently saturated.
+    the scaled norm.  Overflow raises :class:`ExpOverflowError`, never
+    silently saturates.
     """
     m = as_square(m, "m", dtype=None)
-    result = scipy.linalg.expm(m * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = scipy.linalg.expm(m * t)
     if not np.isfinite(result).all():
         raise ExpOverflowError(
             f"exp(m*t) overflowed for ||m*t|| = {np.linalg.norm(m) * abs(t):.3e}"
@@ -160,6 +163,35 @@ def as_times(times, name: str = "times") -> np.ndarray:
     if (grid < 0.0).any() or (np.diff(grid) < 0.0).any():
         raise ValidationError(f"{name} must be non-negative and ascending")
     return grid
+
+
+def _stepped(a, y, times, stop=None) -> np.ndarray:
+    """Rows ``exp(a t_i) y`` for the ``times`` of a grid that starts from ``t = 0``.
+
+    The time-grid stepper of every propagation: the solution steps from
+    each time to the next, in real arithmetic when ``a`` and ``y`` are real,
+    and one ``scipy.linalg.expm(a dt)`` serves every run of equal steps (a
+    uniform grid costs one exponential; steps within ``8 eps |t|``, the
+    rounding of the times themselves, count as equal).  The times are
+    trusted as given, ascending or a single negative one, and overflow is
+    left in the rows for callers to report.  ``stop``, when given, is called
+    with each time and its row; the rows end before the first one it
+    rejects, and none past it is computed.
+    """
+    out = np.empty((len(times), y.shape[0]), dtype=np.result_type(a, y))
+    previous, step, propagator = 0.0, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(times):
+            dt = t - previous
+            if dt != 0.0:
+                if step is None or abs(dt - step) > 8.0 * EPS * abs(t):
+                    step, propagator = dt, scipy.linalg.expm(dt * a)
+                y = propagator @ y
+            if stop is not None and stop(t, y):
+                return out[:i]
+            out[i] = y
+            previous = t
+    return out
 
 
 def _augmented(hess: np.ndarray) -> np.ndarray:
@@ -191,28 +223,26 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
     gives ``(T, N)`` with row ``i`` equal to ``exp(m t_i) @ v``.
 
     Each Krylov basis comes from :func:`arnoldi_iteration` with at most
-    ``KRYLOV_CAP`` products with ``m``.  The basis grows until, checked
-    every ``GROWTH_CHECK`` steps, the error estimate at the last grid time
-    meets the bound, or up to the cap.  The estimate of the approximation
-    ``beta V_k exp(tau H_k) e_1`` is ``beta h_{k+1,k} |[tau phi_1(tau H_k)]_{k,1}|``,
-    read off the exponential of the augmented ``(k + 1) x (k + 1)`` matrix,
-    and the bound is ``ACTION_RTOL * beta``, ``beta`` being the norm of the
-    vector the basis starts from.  The first substep aims at the next grid
-    time and halves until its estimate meets the bound.  When it lands on
-    the grid time (after a breakdown it is tried first), later grid times
-    step on from it, ``exp(dt A)`` applied to the augmented coefficients
-    with one exponential per step size (steps within ``8 eps t`` count as
-    equal), and the basis serves each whose own estimate meets the bound,
-    up to the first that fails it; the next basis starts from the last
-    time served.
+    ``KRYLOV_CAP`` products with ``m``.  At a time ``tau`` after the basis
+    starts, the exponential of its augmented ``(k + 1) x (k + 1)`` matrix,
+    stepped by :func:`_stepped`, gives the coefficients of
+    ``beta V_k exp(tau H_k) e_1`` and their error estimate
+    ``beta h_{k+1,k} |[tau phi_1(tau H_k)]_{k,1}|`` (``beta`` the norm of
+    the vector the basis starts from).  One budget holds for the whole call:
+    an estimate passes when it is at most ``ACTION_RTOL * beta * |tau| / |t_last|``,
+    its share of the span to the last grid time, so the estimates of all
+    bases on the way to any output sum to at most ``ACTION_RTOL`` times the
+    largest ``beta``; a NaN estimate fails.  The basis grows until, checked
+    every ``GROWTH_CHECK`` steps, its estimate at the last grid time
+    passes, or up to the cap.  Its first substep aims at the next grid time
+    (after a breakdown it is tried first) and halves until its estimate
+    passes; from a grid time it reached, it serves every later grid time up
+    to the first whose estimate fails, and the next basis starts from the
+    last time served.
 
-    The bound holds for each basis, not for each output: an output reached
-    through several bases carries the sum of their errors.  At the default
-    cap a propagation takes few bases and the sum stays near the bound; with
-    a cap of 1, 8192 bases to ``t = 1e-8`` leave a relative error of ``8.2e-9``.
-
-    Raises :class:`ConvergenceError` when the step control stalls or the
-    grid is not covered within ``MAX_BASES`` bases.
+    Raises :class:`ConvergenceError`, whose ``residual`` is the last failing
+    estimate over its budget, when no halving lets a step pass or the grid
+    is not covered within ``MAX_BASES`` bases.
     """
     if hasattr(m, "matvec"):
         apply, shape, dtype, is_zero = m.matvec, tuple(m.shape), getattr(m, "dtype", complex), False
@@ -229,104 +259,72 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
     if is_zero:
         out[:] = v
         return out[0] if scalar else out
+    span, excess = abs(grid[-1]), None
 
-    def grown(hess):  # the estimate at the last grid time meets the bound
-        return (
-            hess.shape[1] % GROWTH_CHECK == 0
-            and abs(scipy.linalg.expm(horizon * _augmented(hess))[-1, 0]) <= ACTION_RTOL
-        )
+    def misses(tau, psi):  # the estimate fails its share of the budget, or is NaN
+        nonlocal excess
+        if abs(psi[-1]) <= ACTION_RTOL * abs(tau) / span:
+            return False
+        excess = abs(psi[-1]) * span / (ACTION_RTOL * abs(tau))
+        return True
 
+    def coefficients(hess, taus):  # column 0 of exp(tau A) up to the first tau that misses
+        augmented = _augmented(hess)
+        return _stepped(augmented, np.eye(1, len(augmented), dtype=hess.dtype)[0], taus, misses)
+
+    def grown(hess):  # checked every GROWTH_CHECK steps: the estimate at the horizon passes
+        return hess.shape[1] % GROWTH_CHECK == 0 and len(coefficients(hess, [horizon])) == 1
+
+    starts = grid == 0.0
+    out[starts] = v
     dim = min(KRYLOV_CAP, n)
-    w, i, remaining, step_guess, steps = v, 0, grid[0], np.inf, 0
-    while i < grid.shape[0]:
-        if remaining == 0.0:  # w is the state at grid[i]
-            out[i] = w
-            i += 1
-            if i < grid.shape[0]:
-                remaining = grid[i] - grid[i - 1]
-            continue
+    w, now, i, step_guess, bases = v, 0.0, np.count_nonzero(starts), np.inf, 0
+    while i < grid.shape[0]:  # one Krylov basis per pass
         beta = np.linalg.norm(w)
         if beta == 0.0 or not np.isfinite(beta):  # zero stays zero; overflow is reported by callers
             out[i:] = w
             break
-        if steps == MAX_BASES:
-            raise ConvergenceError(
-                f"expm_action did not reach t = {grid[-1]!r} with {MAX_BASES} Krylov bases",
-                residual=abs(grid[-1] - grid[i] + remaining),
-            )
-        steps += 1
-        horizon = grid[-1] - grid[i] + remaining
-        basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim, grown)
-        k = hess.shape[1]
-        augmented = _augmented(hess)
-        whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
-        tau = remaining if whole else step_guess
-        for _halving in range(80):
-            propagator = scipy.linalg.expm(tau * augmented)
-            err = abs(propagator[k, 0])
-            if err <= ACTION_RTOL:
-                break
-            tau *= 0.5
-        else:
-            raise ConvergenceError("expm_action step control stalled", residual=err)
-        psi = propagator[:, 0]
-        if tau != remaining:  # short of grid[i]: the next basis goes on from here
-            w = (beta * psi[:k]) @ basis[:k]
-            remaining -= tau
-            step_guess = 2.0 * tau  # let accepted steps grow back
-            continue
-        # landed on grid[i]: later grid times step on while their estimates hold
-        coefficients, j, step = [beta * psi[:k]], i + 1, tau
-        while j < grid.shape[0]:
-            dt = grid[j] - grid[j - 1]
-            if dt > 0.0:
-                if abs(dt - step) > 8.0 * EPS * grid[j]:
-                    step, propagator = dt, scipy.linalg.expm(dt * augmented)
-                psi = propagator @ psi
-                if abs(psi[k]) > ACTION_RTOL:
+        horizon, remaining, rows = grid[-1] - now, grid[i] - now, ()
+        bases += 1
+        if bases <= MAX_BASES:
+            basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim, grown)
+            whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
+            tau = remaining if whole else step_guess
+            for _halving in range(80):
+                rows = coefficients(hess, grid[i:] - now if tau == remaining else [tau])
+                if len(rows):
                     break
-            coefficients.append(beta * psi[:k])
-            j += 1
-        rows = np.array(coefficients) @ basis[:k]
-        out[i : j - 1] = rows[:-1]
-        step_guess = 2.0 * (grid[j - 1] - grid[i] + tau)
-        w, i, remaining = rows[-1], j - 1, 0.0
+                tau *= 0.5
+        if not len(rows):
+            raise ConvergenceError(f"expm_action did not reach t = {float(grid[-1])}", residual=excess)
+        states = (beta * rows[:, : hess.shape[1]]) @ basis[: hess.shape[1]]
+        if tau != remaining:  # short of grid[i]: the next basis goes on from here
+            w, now, step_guess = states[0], now + tau, 2.0 * tau  # let accepted steps grow back
+        else:  # landed on grid[i] and served the grid times after it that passed
+            j = i + len(rows)
+            out[i:j] = states
+            w, step_guess, now, i = states[-1], 2.0 * (grid[j - 1] - now), grid[j - 1], j
     return out[0] if scalar else out
 
 
 def propagate_linear(a, y0, times) -> np.ndarray:
     """Solve ``y' = a y`` from ``y(0) = y0``: row ``i`` of the result is ``exp(a t_i) y0``.
 
-    ``times`` must be finite, non-negative and ascending.  For a matrix
-    ``a`` the solution steps from each time to the next (in real arithmetic
-    when ``a`` and ``y0`` are real floating), and one
-    ``exp(a dt)`` serves every run of equal steps (a uniform grid costs one
-    exponential; steps within ``8 eps t``, the rounding of the times
-    themselves, count as equal).  A matrix-free operator (see
-    :func:`expm_action`) goes through one :func:`expm_action` call over the
-    whole grid.
+    ``times`` must be finite, non-negative and ascending.  A matrix ``a``
+    goes through :func:`_stepped`, a matrix-free operator (see
+    :func:`expm_action`) through one :func:`expm_action` call over the
+    whole grid.  Raises :class:`ExpOverflowError` at the first time whose
+    row is not finite.
     """
     times = as_times(times)
     matrix_free = hasattr(a, "matvec")
     if not matrix_free:
         a = as_square(a, "a", dtype=None)
     y = _as_array(y0, "y0", (1,), a.shape[0], dtype=None)
-    if matrix_free:
-        out = expm_action(a, y, times)
-    else:
-        out = np.empty((times.shape[0], y.shape[0]), dtype=np.result_type(a, y))
-        previous, step, propagator = 0.0, None, None
-        for i, t in enumerate(times):
-            dt = t - previous
-            if dt > 0.0:
-                if step is None or abs(dt - step) > 8.0 * EPS * t:
-                    step, propagator = dt, expm(a, dt)
-                y = propagator @ y
-            out[i] = y
-            previous = t
+    out = expm_action(a, y, times) if matrix_free else _stepped(a, y, times)
     overflowed = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if overflowed.size:
-        raise ExpOverflowError(f"exp(a*t) y0 overflowed at t = {times[overflowed[0]]!r}")
+        raise ExpOverflowError(f"exp(a*t) y0 overflowed at t = {float(times[overflowed[0]])}")
     return out
 
 

@@ -136,7 +136,8 @@ def load_model(path) -> LindbladModel:
             raise ModelFormatError(f"{path}: jumps[{k}] must be an object")
         if "rate" not in jump:
             raise ModelFormatError(f"{path}: jumps[{k}] is missing 'rate'")
-        rate = _as_float(jump["rate"]) if isinstance(jump["rate"], (int, float)) else math.nan
+        rate = jump["rate"]
+        rate = _as_float(rate) if isinstance(rate, (int, float)) and not isinstance(rate, bool) else math.nan
         if not math.isfinite(rate):
             raise ModelFormatError(f"{path}: jumps[{k}].rate must be a finite number")
         if "matrix" not in jump:

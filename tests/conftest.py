@@ -6,15 +6,13 @@ import pytest
 from lindbladmv.model import LindbladModel
 from lindbladmv.tls import IDENTITY, SX, SY, SZ
 
-#: NumPy warns when it drops an imaginary part in a cast to a real dtype.
-ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
-
-
 @pytest.fixture(autouse=True)
-def complex_warning_is_an_error():
-    """A dropped imaginary part fails the test that dropped it."""
+def runtime_warning_is_an_error():
+    """A ``RuntimeWarning`` fails the test that raised it: NumPy's overflow and
+    invalid-value warnings, and its ``ComplexWarning`` for an imaginary part
+    dropped in a cast to a real dtype."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error", ComplexWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         yield
 
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lindbladmv.cli import build_parser, main
 from lindbladmv.model import LindbladModel, random_density, random_model
@@ -244,8 +245,6 @@ def test_propagate_methods_agree(tls_files, capsys):
 
 @pytest.mark.parametrize("method", ["vec", "arnoldi", "heisenberg"])
 def test_uniform_grid_takes_one_exponential(tmp_path, capsys, monkeypatch, method):
-    import lindbladmv.linalg as linalg
-
     rng = np.random.default_rng(5)
     n = 3
     paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
@@ -253,9 +252,8 @@ def test_uniform_grid_takes_one_exponential(tmp_path, capsys, monkeypatch, metho
     save_state(paths[1], random_density(rng, n).matrix)
     units = np.eye(n * n).reshape(n * n, n, n)  # closed under every adjoint generator
     save_observables(paths[2], [(f"e{k}", unit) for k, unit in enumerate(units)])
-    calls = []
-    original = linalg.expm
-    monkeypatch.setattr(linalg, "expm", lambda m, t=1.0: calls.append(t) or original(m, t))
+    calls, original = [], scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or original(a))
     argv = ["propagate", str(paths[0]), "--state", str(paths[1]), "--observables",
             str(paths[2]), "--t0", "0", "--t1", "5", "--steps", "21", "--method", method]
     assert main(argv) == 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lindbladmv.errors import ConvergenceError, EigenSolverError, ExpOverflowError, ValidationError
 from lindbladmv.linalg import (
+    ACTION_RTOL,
     BREAKDOWN_RTOL,
     arnoldi_iteration,
     eig,
@@ -100,7 +101,6 @@ class TestExpm:
             split = expm(m, t) @ expm(m, s)
             assert np.linalg.norm(whole - split) <= 1e-10 * np.linalg.norm(whole)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_reported(self):
         with pytest.raises(ExpOverflowError):
             expm(np.array([[1e4]]), 1e3)
@@ -349,6 +349,37 @@ class TestExpmAction:
                 expected = scipy.linalg.expm(t * matrix) @ v
                 assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    def test_one_budget_for_all_bases(self, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        monkeypatch.setattr(linalg, "KRYLOV_CAP", 1)
+        # a one-vector basis has first-order error, so no step meets its share
+        with pytest.raises(ConvergenceError, match=r"did not reach t = 1e-08 ") as excinfo:
+            expm_action(-np.diag([1.0, 2.0, 3.0]), np.ones(3), 1e-8)
+        assert excinfo.value.residual > 1.0  # the failing estimate over its budget
+        monkeypatch.setattr(linalg, "KRYLOV_CAP", 10)
+        rng = np.random.default_rng(3)
+        n = 60
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) - (np.sqrt(n) + 1.0) * np.eye(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        times = np.linspace(0.0, 1.0, 11)
+        out = expm_action(m, v, times)  # about 50 bases
+        for t, y in zip(times, out):
+            assert np.linalg.norm(y - scipy.linalg.expm(t * m) @ v) <= ACTION_RTOL * np.linalg.norm(v)
+
+    def test_overflowing_trial_steps_are_rejected_quietly(self, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        monkeypatch.setattr(linalg, "KRYLOV_CAP", 10)
+        rng = np.random.default_rng(0)
+        n = 30
+        # stable, but a Ritz value has a positive real part, so exp(1000 aug) overflows
+        m = 3.0 * np.triu(rng.normal(size=(n, n)), 1) - 2.0 * np.eye(n)
+        v = rng.normal(size=n)
+        out = expm_action(m, v, [0.0, 1000.0])
+        assert np.array_equal(out[0], v)
+        assert np.abs(out[1]).max() <= 1e-100
+
     @pytest.mark.parametrize("cap, v", [(1, [1.0, 0.0, 0.0]), (2, [1.0, 1.0, 0.0])])
     def test_smallest_krylov_dims_accepted(self, cap, v, monkeypatch):
         import lindbladmv.linalg as linalg
@@ -380,10 +411,8 @@ class TestPropagateLinear:
         assert np.abs(action - dense).max() <= 1e-10 * np.linalg.norm(v)
 
     def test_uniform_grid_costs_one_exponential(self, rng, monkeypatch):
-        import lindbladmv.linalg as linalg
-
-        calls = []
-        monkeypatch.setattr(linalg, "expm", lambda m, t=1.0: calls.append(t) or expm(m, t))
+        calls, original = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or original(a))
         m = rng.normal(size=(4, 4))
         propagate_linear(m, np.ones(4), np.linspace(0.0, 5.0, 21))
         assert len(calls) == 1
@@ -401,6 +430,10 @@ class TestPropagateLinear:
             assert np.abs(y - scipy.linalg.expm(m * t) @ v).max() <= 1e-12 * np.abs(v).max()
         assert np.iscomplexobj(propagate_linear(m, v + 0j, times))
         assert np.iscomplexobj(propagate_linear(m + 0j, v, times))
+
+    def test_overflow_reported_at_its_time(self):
+        with pytest.raises(ExpOverflowError, match=r"at t = 1\.0$"):
+            propagate_linear(np.array([[1e3]]), np.ones(1), [0.0, 0.5, 1.0])
 
     def test_rejects_bad_times(self):
         for times in ([-1.0], [1.0, 0.5], [0.0, np.nan], [np.inf]):

@@ -210,6 +210,10 @@ MALFORMED_MODELS = {
         "jumps[0].rate",
     ),
     "bool-dim": (json.dumps({"dim": True, "hamiltonian": [[[0, 0]]]}), "'dim'"),
+    "bool-rate": (
+        json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": [{"rate": True, "matrix": LOWERING_2}]}),
+        "jumps[0].rate",
+    ),
     "int-jumps": (json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": 5}), "'jumps'"),
     "long-int": ('{"dim": 1, "hamiltonian": [[[' + "1" * 5000 + ", 0]]]}", ""),
 }
