@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import _as_array, as_square, hs_norm
+from .linalg import _as_array, _is_number, as_square, hs_norm
 from .model import random_density, random_model
 from .vectorized import Superoperator, build_superoperator, propagate, spectrum, unvec, vec
 
@@ -107,7 +107,7 @@ class DegeneracyReport:
 
 def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyReport:
     """Cluster the spectrum at scale ``cluster_tol`` and flag defectiveness."""
-    if not (0.0 < cluster_tol < np.inf):
+    if not (_is_number(cluster_tol) and 0.0 < cluster_tol < np.inf):
         raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol}")
     dec = spectrum(superop)
     values = dec.eigenvalues
@@ -203,23 +203,24 @@ def run_benchmark(
     dense eigendecomposition reference.  A warm-up run exceeding
     ``timeout_s`` marks the cell ``"timeout"`` instead of aborting the
     sweep.  ``dims`` must list integers (NumPy's included, ``bool`` not) and
-    ``methods`` at least one tag; ``seed`` must be non-negative, ``repeats``
-    at least 1 and ``timeout_s``, when given, non-negative.
+    ``methods`` at least one tag; ``seed`` must be a non-negative integer,
+    ``repeats`` an integer of at least 1 and ``timeout_s``, when given, a
+    non-negative number.
     """
     dims, methods = list(dims), list(methods)
     if not dims or not methods:
         raise ValidationError("a benchmark needs at least one dimension and one method")
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in dims):
+    if not all(_is_number(n, numbers.Integral) for n in dims):
         raise ValidationError(f"benchmark dimensions must be integers, got {dims!r}")
     dims = [int(n) for n in dims]
     if any(n < 2 for n in dims):
         raise ValidationError("benchmark dimensions must be >= 2")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    if timeout_s is not None and not timeout_s >= 0.0:  # NaN fails too
-        raise ValidationError(f"timeout_s must be >= 0, got {timeout_s}")
+    if not _is_number(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_number(repeats, numbers.Integral) or repeats < 1:
+        raise ValidationError(f"repeats must be an integer >= 1, got {repeats!r}")
+    if timeout_s is not None and not (_is_number(timeout_s) and timeout_s >= 0.0):  # NaN fails too
+        raise ValidationError(f"timeout_s must be a number >= 0, got {timeout_s!r}")
     rng = np.random.default_rng(seed)
     records = []
     for n in dims:

@@ -9,6 +9,7 @@ and the square upper-Hessenberg matrix representing the generator on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +18,13 @@ from .errors import ValidationError
 from .linalg import (
     EigenDecomposition,
     _as_array,
+    _is_number,
     arnoldi_iteration,
     as_square,
     eig,
 )
 from .linalg import hs_inner, hs_norm, propagate_linear
-from .model import LindbladModel
-from .vectorized import from_hermitian_basis, to_hermitian_basis, vec
+from .model import LindbladModel, from_hermitian_basis, to_hermitian_basis
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     breakdown truncates the reduction to the invariant subspace found.
     """
     n = model.dim
-    integer = isinstance(krylov_dim, (int, np.integer)) and not isinstance(krylov_dim, bool)
-    if not integer or not 0 <= krylov_dim <= n * n - 1:
+    if not _is_number(krylov_dim, numbers.Integral) or not 0 <= krylov_dim <= n * n - 1:
         raise ValidationError(
             f"krylov_dim must be an integer in [0, {n * n - 1}], got {krylov_dim!r}"
         )
@@ -73,14 +73,12 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     if norm0 == 0.0:
         raise ValidationError("initial state is zero")
 
-    v0 = to_hermitian_basis(vec(rho0 / norm0))
+    v0 = to_hermitian_basis(rho0 / norm0)
     v0 = v0 if v0.imag.any() else v0.real
     basis, hess, breakdown = arnoldi_iteration(model.operator.hermitian.matvec, v0, krylov_dim + 1)
     size = min(basis.shape[0], krylov_dim + 1)
     breakdown_at = None if breakdown == krylov_dim else breakdown
-    vectors = from_hermitian_basis(basis[:size].T).T
-    # row k of vectors is vec(basis matrix k), the rows of its transpose
-    basis = tuple(vectors.reshape(size, n, n).transpose(0, 2, 1))
+    basis = tuple(from_hermitian_basis(basis[:size]))
     return KrylovReduction(basis, hess[:size, :size], breakdown_at, n)
 
 

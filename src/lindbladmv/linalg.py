@@ -12,6 +12,7 @@ are never modified and results are fresh arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ GROWTH_CHECK = 10
 KRYLOV_CAP = 100
 #: Most Krylov bases one :func:`expm_action` call builds before it gives up.
 MAX_BASES = 10_000
+
+
+def _is_number(x, kind=numbers.Real) -> bool:
+    """Whether ``x`` is a ``kind`` number (NumPy's included) and not a ``bool``:
+    the one check of every scalar option, ``kind=numbers.Integral`` for integers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The generator and its adjoint are applied directly as matrix-matrix
 operations (no superoperator matrix is formed here) through one
-:class:`LiouvilleOperator` per model; the dense vectorized representation
-lives in :mod:`lindbladmv.vectorized`.
+:class:`LiouvilleOperator` per model; the coordinates of matrices on the
+Hermitian basis are defined here too.  The dense vectorized representation,
+and with it column stacking, lives in :mod:`lindbladmv.vectorized`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .linalg import as_square
 #: Relative tolerance for Hermiticity of the Hamiltonian and of states.
 HERMITICITY_RTOL = 1e-12
 #: Relative tolerance for unit trace of a given state.  A state computed as
-#: ``exp(S t) vec(rho0)`` is held to ``TRACE_RTOL + eps * norm(S) * t``
+#: ``exp(S t) rho0`` is held to ``TRACE_RTOL + eps * norm(S) * t``
 #: instead (``eps`` the machine epsilon): the computed exponential is the
 #: exact one of a generator perturbed by ``O(eps * norm(S))``, and a
 #: perturbation that does not conserve trace leaks it at that rate over the
@@ -140,13 +141,11 @@ def _hermitian_tables(n: int):
 
     Each row of either map has one or two nonzeros, so entry ``p`` of its
     product with ``x`` is ``weights[0, p] x[index[0, p]] + weights[1, p] x[index[1, p]]``
-    (a diagonal entry picks one element twice, with weights ``1/2``).  The
-    third pair gives ``U^H r`` of a real ``r`` float by float, the real and
-    imaginary part of each entry in turn: one weighted entry of ``[r, 0]``
-    each, the zero being the imaginary part of a diagonal entry.
+    (a diagonal entry picks one element twice, with weights ``1/2``); ``U``
+    reads the C-ordered entries of a matrix and ``U^H`` writes them.
     """
     rows, cols = np.triu_indices(n, 1)  # the pairs i < j, in the order of the basis
-    diag, upper, lower = np.arange(n) * (n + 1), cols * n + rows, rows * n + cols  # vec indices
+    diag, upper, lower = np.arange(n) * (n + 1), rows * n + cols, cols * n + rows  # C order
     m, size = rows.shape[0], n * n
     index = np.stack([np.concatenate([diag, lower, lower]), np.concatenate([diag, upper, upper])])
     weights = np.full((2, size), math.sqrt(0.5), dtype=complex)
@@ -154,22 +153,18 @@ def _hermitian_tables(n: int):
     weights[:, n + m :] *= [[1j], [-1j]]
     # U^H = conj(U)^T: the two entries of each column of U, in turn
     by_column = np.argsort(index, axis=None, kind="stable").reshape(size, 2).T
-    back = by_column % size, weights.reshape(-1)[by_column].conj()
-    parts = np.stack([back[1].real, back[1].imag], axis=-1)  # (pick, entry, part)
-    real_index = np.where(parts[0] != 0.0, back[0][0, :, None], back[0][1, :, None])
-    real_index[(parts == 0.0).all(axis=0)] = size
-    return (index, weights), back, (real_index.reshape(-1), parts.sum(axis=0).reshape(-1))
+    return (index, weights), (by_column % size, weights.reshape(-1)[by_column].conj())
 
 
 def _pick_two(x: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``weights[0] x[index[0]] + weights[1] x[index[1]]``, row by row along axis 0 of ``x``."""
-    picked = x[index]
-    picked *= weights.reshape(weights.shape + (1,) * (x.ndim - 1))
-    return np.add(picked[0], picked[1])
+    """``weights[0] x[..., index[0]] + weights[1] x[..., index[1]]``, entry by entry."""
+    picked = np.take(np.asarray(x, dtype=complex), index, axis=-1)
+    picked *= weights
+    return np.add(picked[..., 0, :], picked[..., 1, :])
 
 
 def to_hermitian_basis(x: np.ndarray) -> np.ndarray:
-    """``U x``: coordinates on the Hermitian basis of the ``vec`` vectors along axis 0 of ``x``.
+    """``U x``: the ``(..., n^2)`` Hermitian-basis coordinates of a ``(..., n, n)`` stack ``x``.
 
     With ``m = n(n-1)/2`` and the pairs ``i < j`` in the row-major order of
     the upper triangle, member ``k < n`` of the basis is ``E_kk``, member
@@ -177,25 +172,23 @@ def to_hermitian_basis(x: np.ndarray) -> np.ndarray:
     ``i(E_ij - E_ji)/sqrt(2)`` for the ``p``-th pair.  The coordinate of
     ``rho`` on a member ``B`` is ``Tr(B rho)``; for a Hermitian ``rho`` they
     are ``rho_kk``, ``sqrt(2) Re rho_ij`` and ``sqrt(2) Im rho_ij``, with an
-    imaginary part exactly zero when ``rho`` is exactly Hermitian.  The
-    basis is orthonormal in the Hilbert-Schmidt inner product, so ``U`` is
-    unitary.  Nothing is validated.
+    imaginary part exactly zero when ``rho`` is exactly Hermitian, and the
+    real part of ``U x`` is ``U`` of the Hermitian part ``(x + x^dag) / 2``.
+    The basis is orthonormal in the Hilbert-Schmidt inner product, so ``U``
+    is unitary.  Nothing is validated.
     """
-    return _pick_two(np.asarray(x, dtype=complex), *_hermitian_tables(math.isqrt(x.shape[0]))[0])
+    n = x.shape[-1]
+    return _pick_two(x.reshape(x.shape[:-2] + (n * n,)), *_hermitian_tables(n)[0])
 
 
 def from_hermitian_basis(r: np.ndarray) -> np.ndarray:
-    """``U^H r``: the ``vec`` vectors with the Hermitian-basis coordinates along axis 0 of ``r``.
+    """``U^H r``: the ``(..., n, n)`` stack with the Hermitian-basis coordinates ``(..., n^2)``.
 
     Inverse of :func:`to_hermitian_basis`.  Real coordinates give exactly
-    Hermitian matrices, assembled in real arithmetic.  Nothing is validated.
+    Hermitian matrices.  Nothing is validated.
     """
-    _, complex_tables, (index, weights) = _hermitian_tables(math.isqrt(r.shape[0]))
-    if r.dtype.kind == "c":
-        return _pick_two(r, *complex_tables)
-    floats = np.concatenate([r, np.zeros((1,) + r.shape[1:])])[index]
-    floats *= weights.reshape(weights.shape + (1,) * (r.ndim - 1))
-    return np.ascontiguousarray(floats.T).view(complex).T
+    n = math.isqrt(r.shape[-1])
+    return _pick_two(r, *_hermitian_tables(n)[1]).reshape(r.shape[:-1] + (n, n))
 
 
 class HermitianView:
@@ -204,13 +197,14 @@ class HermitianView:
     The coordinates are those of :func:`to_hermitian_basis`, whose dot
     product is the Hilbert-Schmidt one.  :meth:`matvec` maps real or complex
     coordinates to those of the image, of the same type.  Real coordinates
-    are those of an exactly Hermitian ``M`` (:meth:`matrix`); one product stacks
+    are those of an exactly Hermitian ``M``; one product stacks
     ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by ``Kn x n``
     product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the Hamiltonian
     part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian part of
-    ``-2i X``, so :meth:`coordinates` of the sum, which keep only its
-    Hermitian part, are those of the generator's image.  Complex coordinates
-    go through :meth:`LiouvilleOperator.apply`.  Nothing is validated.
+    ``-2i X``, so the real part of the sum's coordinates, which are those of
+    its Hermitian part, gives the coordinates of the generator's image.
+    Complex coordinates go through :meth:`LiouvilleOperator.apply`.  Nothing
+    is validated.
     """
 
     #: Real, so :func:`~lindbladmv.linalg.expm_action` runs in the type of its vector.
@@ -220,34 +214,20 @@ class HermitianView:
         n = operator.dim
         self.dim, self.shape, self.norm_bound = n, (n * n, n * n), operator.norm_bound
         self._apply = operator.apply
-        # Re(U vec x) from the floats of a C-ordered x: vec index b n + a is float 2 (a n + b),
-        # plus one where an imaginary weight reads it
-        (index, weights), _, _ = _hermitian_tables(n)
-        self._real_index = 2 * (index % n * n + index // n) + (weights.imag != 0.0)
-        self._real_mix = weights.real - weights.imag
         self._stacked = np.concatenate([-2j * operator.h_eff] + [s for s, _ in operator.jumps])
         self._jumps_dag = np.concatenate([d for _, d in operator.jumps]) if operator.jumps else None
-
-    def matrix(self, r: np.ndarray) -> np.ndarray:
-        """The ``n x n`` matrix with coordinates ``r``, exactly Hermitian when ``r`` is real."""
-        return from_hermitian_basis(r).reshape((self.dim, self.dim), order="F")
-
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """The real coordinates of the Hermitian part ``(x + x^dag) / 2`` of an ``n x n`` matrix."""
-        floats = np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float)
-        return _pick_two(floats, self._real_index, self._real_mix)
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
         """The generator on coordinates ``r`` of length ``n^2``."""
         if r.dtype.kind == "c":
-            return to_hermitian_basis(self._apply(self.matrix(r)).reshape(-1, order="F"))
+            return to_hermitian_basis(self._apply(from_hermitian_basis(r)))
         n = self.dim
-        products = self._stacked @ self.matrix(r)
+        products = self._stacked @ from_hermitian_basis(r)
         image = products[:n]
         if self._jumps_dag is not None:
             blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
             image = image + blocks @ self._jumps_dag
-        return self.coordinates(image)
+        return np.ascontiguousarray(to_hermitian_basis(image).real)
 
 
 @dataclass(frozen=True)
@@ -267,16 +247,17 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def validate_state(rho, *, trace_rtol: float = TRACE_RTOL) -> DensityMatrix:
+def validate_state(rho) -> DensityMatrix:
     """Check the density-matrix invariants and wrap ``rho`` on success.
 
     Raises :class:`StateValidationError` listing every violated invariant
-    (see :func:`state_violations`) with magnitudes.
+    (see :func:`state_violations`, unit trace to :data:`TRACE_RTOL`) with
+    magnitudes.
     """
     if isinstance(rho, DensityMatrix):
         return rho
     rho = as_square(rho, "state")
-    violations = state_violations(rho[np.newaxis], trace_rtol)
+    violations = state_violations(rho[np.newaxis], TRACE_RTOL)
     if violations:
         raise StateValidationError(violations[0])
     return DensityMatrix(rho)

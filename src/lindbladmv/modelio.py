@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
 from .errors import ModelFormatError, ValidationError
-from .linalg import _as_array, as_square
+from .linalg import _as_array, _is_number, as_square
 from .model import LindbladModel
 
 
@@ -110,7 +111,7 @@ def _load_json(path) -> tuple[dict, int]:
     if "dim" not in data:
         raise ModelFormatError(f"{path}: missing 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_number(dim, numbers.Integral) or dim < 1:
         raise ModelFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     labels = data.get("basis_labels")
     if labels is None:

@@ -1,13 +1,15 @@
 """Representation 1: vectorize states and build the dense superoperator matrix.
 
-Column-stacking convention throughout: entry ``(a, b)`` of an ``n x n``
-matrix lands at flat index ``b*n + a`` (0-based).  Left multiplication
-``A rho`` becomes ``kron(I, A)``, right multiplication ``rho B`` becomes
-``kron(B.T, I)``, and a sandwich ``A rho B`` becomes ``kron(B.T, A)``.
-Every kernel works in coordinates on the orthonormal Hermitian basis
-(:func:`~lindbladmv.model.to_hermitian_basis`, re-exported here), the
-unitary change of basis ``U`` from ``vec``: the dense ones on ``U S U^H``,
-the matrix-free propagation path on the model's
+Column-stacking convention throughout, and in no other module: entry
+``(a, b)`` of an ``n x n`` matrix lands at flat index ``b*n + a``
+(0-based).  Left multiplication ``A rho`` becomes ``kron(I, A)``, right
+multiplication ``rho B`` becomes ``kron(B.T, I)``, and a sandwich
+``A rho B`` becomes ``kron(B.T, A)``.  Every kernel works in coordinates
+on the orthonormal Hermitian basis, which
+:func:`~lindbladmv.model.to_hermitian_basis` (``U``, re-exported here)
+gives for matrices: the dense ones on ``U S U^H`` (:func:`hermitian_matrix`,
+``U`` read on the ``vec`` vectors of the columns of ``S``), the
+matrix-free propagation path on the model's
 :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`.  A Lindblad
 generator maps Hermitian matrices to Hermitian ones, so on that basis its
 matrix and the coordinates of a Hermitian state are real.
@@ -98,16 +100,18 @@ def build_superoperator(model: LindbladModel) -> Superoperator:
 
 
 def hermitian_matrix(superop: Superoperator) -> np.ndarray:
-    """``U S U^H``: the superoperator matrix ``S`` on the Hermitian basis.
+    """``U S U^H``: the superoperator matrix ``S`` on the Hermitian basis, ``U`` on ``vec`` vectors.
 
     Real for a superoperator :func:`build_superoperator` made, which preserves
     Hermiticity by construction: only round-off is dropped with the
     imaginary part.  Complex for a hand-built one, whose eigenvalues are
     those of ``S`` all the same.
     """
-    left = to_hermitian_basis(superop.matrix)
-    r = to_hermitian_basis(np.conjugate(left, out=left).T)  # U (U S)^H, the adjoint of U S U^H
-    return np.ascontiguousarray(r.real.T) if superop.model is not None else r.conj().T
+    n = superop.dim_hilbert
+    # the vec vectors along axis 0 of an (n^2, k) array x are the matrices x.reshape(n, n, k).T
+    left = to_hermitian_basis(superop.matrix.reshape(n, n, -1).T)  # (U S)^T
+    r = to_hermitian_basis(np.conjugate(left, out=left).reshape(n, n, -1).T)  # (U (U S)^H)^T
+    return np.ascontiguousarray(r.real) if superop.model is not None else r.conj()
 
 
 def propagate(
@@ -120,7 +124,7 @@ def propagate(
     """Evolve the state ``rho0`` to each requested time.
 
     ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`.
-    Both methods step the Hermitian-basis coordinates ``U vec(rho0)``, real
+    Both methods step the Hermitian-basis coordinates ``U rho0``, real
     when ``rho0`` equals its conjugate transpose exactly, through
     :func:`~lindbladmv.linalg.propagate_linear` and map them back once.
     ``method="expm"`` uses the dense exponential of the superoperator matrix
@@ -147,15 +151,14 @@ def propagate(
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
     times = as_times(times)
-    r0 = to_hermitian_basis(vec(rho0))
+    r0 = to_hermitian_basis(rho0)
     r0 = r0 if r0.imag.any() else r0.real
     if method == "expm_action" and model is not None:
         generator, norm = model.operator.hermitian, model.operator.norm_bound
     else:
         superop = superop if superop is not None else build_superoperator(model)
         generator, norm = hermitian_matrix(superop), np.linalg.norm(superop.matrix, 1)
-    vectors = from_hermitian_basis(propagate_linear(generator, r0, times).T).T
-    states = vectors.reshape(-1, n, n).transpose(0, 2, 1)  # unvec of every row
+    states = from_hermitian_basis(propagate_linear(generator, r0, times))
     violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
     if violations:
         i = min(violations)
@@ -170,9 +173,10 @@ def spectrum(superop: Superoperator) -> EigenDecomposition:
     are non-positive (up to round-off) and eigenvalues come in conjugate
     pairs, with a zero eigenvalue for the stationary state.  The solver runs
     on :func:`hermitian_matrix`, so a model's pairs are exact; the right
-    eigenvectors are mapped back to ``vec`` coordinates, and the residual
+    eigenvectors are mapped back to ``vec`` vectors, and the residual
     norms and the condition number, which ``U`` leaves unchanged, are those
     computed on the Hermitian basis.
     """
     dec = eig(hermitian_matrix(superop))
-    return replace(dec, right_eigenvectors=from_hermitian_basis(dec.right_eigenvectors))
+    matrices = from_hermitian_basis(dec.right_eigenvectors.T)  # (k, a, b) -> vec index b n + a
+    return replace(dec, right_eigenvectors=matrices.T.reshape(superop.dim_hilbert**2, -1))

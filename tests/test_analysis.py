@@ -179,7 +179,7 @@ class TestDetectDegeneracy:
 
     def test_rejects_bad_tolerance(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))
-        for cluster_tol in (0.0, np.nan, np.inf):
+        for cluster_tol in (0.0, np.nan, np.inf, True, "x"):
             with pytest.raises(ValidationError, match="cluster_tol"):
                 detect_degeneracy(superop, cluster_tol)
 
@@ -269,8 +269,28 @@ class TestBenchmark:
 
     @pytest.mark.parametrize(
         "options",
-        [{"seed": -1}, {"repeats": 0}, {"timeout_s": np.nan}, {"timeout_s": -1.0}],
-        ids=["seed", "repeats", "nan-timeout", "negative-timeout"],
+        [
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 1.5},
+            {"repeats": 0},
+            {"repeats": True},
+            {"repeats": 2.5},
+            {"timeout_s": np.nan},
+            {"timeout_s": -1.0},
+            {"timeout_s": "x"},
+        ],
+        ids=[
+            "seed",
+            "bool-seed",
+            "float-seed",
+            "repeats",
+            "bool-repeats",
+            "float-repeats",
+            "nan-timeout",
+            "negative-timeout",
+            "str-timeout",
+        ],
     )
     def test_rejects_bad_options(self, options):
         with pytest.raises(ValidationError):

@@ -24,6 +24,7 @@ from lindbladmv.vectorized import (
     from_hermitian_basis,
     hermitian_matrix,
     to_hermitian_basis,
+    vec,
 )
 from lindbladmv.tls import TLSParams, build_tls
 
@@ -253,12 +254,12 @@ class TestExpmAction:
         rng = np.random.default_rng(seed)
         model = random_model(rng, n, n_jumps=n_jumps)
         matrix = build_superoperator(model).matrix
-        v = random_density(rng, n).matrix.reshape(-1, order="F")
-        out = expm_action(model.operator.hermitian, to_hermitian_basis(v), times)
+        rho0 = random_density(rng, n).matrix
+        out = expm_action(model.operator.hermitian, to_hermitian_basis(rho0), times)
         assert out.shape == (len(times), n * n)
-        for t, y in zip(times, from_hermitian_basis(out.T).T):
-            expected = scipy.linalg.expm(t * matrix) @ v
-            assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
+        for t, y in zip(times, from_hermitian_basis(out)):
+            expected = scipy.linalg.expm(t * matrix) @ vec(rho0)
+            assert np.linalg.norm(vec(y) - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_scalar_time_is_a_one_point_grid(self, rng):
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)) - 4.0 * np.eye(12)
