@@ -90,8 +90,8 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("--method heisenberg requires --basis")
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
         rep = heisenberg.close_set(model, ops)
-        # conjugate so all three methods print directly comparable values
-        values = np.conj(eigvals(rep.coeffs))
+        # conjugate so all three methods print directly comparable values (+ 0j: no -0.0)
+        values = np.conj(eigvals(rep.generator)) + 0j
     else:
         raise ValidationError(f"unknown method {args.method!r}")
     values = values[np.lexsort((values.imag, values.real))]  # the conjugate reverses each pair

@@ -1,9 +1,9 @@
 """Representation 3: closed operator sets under the adjoint generator.
 
 Given a candidate basis of observables, decide whether the adjoint
-generator maps each member back into the span, extract the coefficient
-matrix of the resulting linear system, and propagate expectation-value
-vectors with it.
+generator maps each member back into the span, extract the linear system it
+generates on an orthonormal basis of the span, and propagate
+expectation-value vectors with it.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DependentBasisError, NotClosedError, ValidationError
-from .linalg import EPS, EigenDecomposition, _as_array, eig, hs_inner, propagate_linear
-from .model import LindbladModel
+from .linalg import EPS, EigenDecomposition, _as_array, eig, propagate_linear
+from .model import LindbladModel, to_hermitian_basis
 
 #: Relative out-of-span residual below which a basis counts as closed.
 CLOSURE_RTOL = 1e-10
@@ -24,26 +25,34 @@ CLOSURE_RTOL = 1e-10
 #: as ``L^dag(I) = 0``.  For the identity on 210 random models with n = 2
 #: to 32 the largest ratio measured is 0.14.
 CLOSURE_ROUNDOFF = 10.0
-#: Gram-matrix condition number beyond which the basis is treated as dependent.
+#: Basis Gram-matrix condition number beyond which the basis is treated as dependent,
+#: compared with the square of ``1/rcond`` of its triangular QR factor (LAPACK ``?trcon``).
 GRAM_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class AdjointRep:
-    """A closed operator set with its adjoint-generator coefficient matrix.
+    """A closed operator set with the adjoint generator on an orthonormal basis of its span.
 
-    Row ``k`` of ``coeffs`` expands the adjoint image of ``basis[k]`` in the
-    basis, i.e. it gives the time derivative of the k-th expectation value.
-    ``closure_residuals[k]`` is the (absolute) out-of-span remainder norm.
+    ``basis[k] = sum_j frame[k, j] Q_j`` for Hilbert-Schmidt orthonormal ``Q_j``, and
+    row ``j`` of ``generator`` expands ``L^dag(Q_j)`` in the ``Q_l``: real, with Hermitian
+    ``Q_j``, for a set that holds each member's conjugate transpose.  Row ``k`` of
+    :attr:`coeffs` expands ``L^dag(basis[k])`` in the basis, i.e. gives the time derivative
+    of the k-th expectation value; ``closure_residuals[k]`` is its out-of-span remainder norm.
     """
 
     basis: tuple
-    coeffs: np.ndarray
+    generator: np.ndarray
+    frame: np.ndarray
     closure_residuals: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.frame @ self.generator @ np.linalg.inv(self.frame)
 
 
 def _operator_stack(basis, n: int) -> np.ndarray:
@@ -54,36 +63,71 @@ def _operator_stack(basis, n: int) -> np.ndarray:
     return ops
 
 
-def close_set(model: LindbladModel, basis) -> AdjointRep:
-    """Decompose the adjoint image of each basis operator inside the span.
+def _adjoint_partners(coords: np.ndarray):
+    """For the coordinates ``U X_k`` of a set, the index of each member's conjugate
+    transpose, whose coordinates are ``conj(U X_k)``, or ``None`` when one is missing.
 
-    The least-squares decomposition is solved through the Gram matrix of
-    the basis, for all images at once.  Fails with
+    Rows are paired by weighted sums and then compared by value (``==`` holds the
+    ``-0.0`` that ``conj`` makes of ``+0.0`` equal to it); equal sums, as of a
+    repeated member of a (then dependent) set, give ``None`` too.
+    """
+    if not coords.imag.any():  # all Hermitian, each its own partner
+        return np.arange(len(coords))
+    sums = coords @ np.sqrt(np.arange(2.0, coords.shape[1] + 2.0))
+    position = dict(zip(sums.tolist(), range(len(coords))))
+    partner = np.array([position.get(z, -1) for z in sums.conj().tolist()])
+    paired = len(position) == len(coords) and partner.min() >= 0
+    return partner if paired and (coords[partner] == coords.conj()).all() else None
+
+
+def close_set(model: LindbladModel, basis) -> AdjointRep:
+    """Orthonormalize the span of ``basis`` and expand the adjoint generator on it.
+
+    One unpivoted QR factorizes the rows ``U X_k`` (see ``model.to_hermitian_basis``),
+    real for a set that holds each member's conjugate transpose: ``Re U X_k``, with
+    ``Im U X_k`` for the second of each adjoint pair.  The images ``U L^dag(X_k)`` take
+    the same rows; the orthogonal factor splits them into their projection, which one
+    triangular solve turns into the generator, and a remainder.  Fails with
     :class:`DependentBasisError` for a numerically dependent basis and with
-    :class:`NotClosedError` when any image ``L^dag(X_k)`` leaves the span by
-    more than ``CLOSURE_RTOL`` relative to its norm and by more than the round-off
-    floor ``CLOSURE_ROUNDOFF * eps * nu * ||X_k||_F``.
+    :class:`NotClosedError` when any image ``L^dag(X_k)`` leaves the span by more than
+    ``CLOSURE_RTOL`` relative to its norm and by more than the round-off floor
+    ``CLOSURE_ROUNDOFF * eps * nu * ||X_k||_F``.
     """
     ops = _operator_stack(basis, model.dim)
-    gram = hs_inner(ops, ops)
-    condition = np.linalg.cond(gram)
-    if not np.isfinite(condition) or condition > GRAM_COND_LIMIT:
-        raise DependentBasisError(
-            f"basis Gram matrix has condition number {condition:.3e}"
-        )
-    op = model.operator
-    images = op.apply_adjoint(ops)
-    # column k of the solution expands image k: coeffs[k] = gram^-1 <ops, image_k>
-    coeffs = np.linalg.solve(gram, hs_inner(ops, images)).T
-    remainders = images - np.tensordot(coeffs, ops, axes=1)
-    residuals = np.linalg.norm(remainders, axis=(1, 2))
-    image_norms = np.linalg.norm(images, axis=(1, 2))
-    floor = CLOSURE_ROUNDOFF * EPS * op.norm_bound * np.linalg.norm(ops, axis=(1, 2))
+    size, op = len(ops), model.operator
+    coords, images = to_hermitian_basis(ops), to_hermitian_basis(op.apply_adjoint(ops))
+    order, partner = np.arange(size), _adjoint_partners(coords)
+    if partner is None:  # complex rows, each member its own
+        rows, row_images, partner = coords, images, order
+    else:
+        second = (partner < order)[:, np.newaxis]
+        rows, row_images = (np.where(second, x.imag, x.real) for x in (coords, images))
+    # LAPACK directly: scipy.linalg's wrappers take longer than a 4 x 4 factorization
+    trans = "T" if rows.dtype.kind == "f" else "C"
+    names = ("geqrf", "ormqr" if trans == "T" else "unmqr", "trcon", "trtrs")
+    geqrf, ormqr, trcon, trtrs = get_lapack_funcs(names, (rows,))
+    factors, tau = geqrf(rows.T)[:2]
+    r = np.triu(factors[:size])
+    rcond = trcon(r)[0] ** 2 if len(r) == size else 0.0  # else more members than dimensions
+    condition = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not condition <= GRAM_COND_LIMIT:
+        raise DependentBasisError(f"basis Gram matrix has condition number about {condition:.3e}")
+    # Q^H times the images: the first `size` rows project them on the span, the rest remain
+    lwork = int(ormqr("L", trans, factors, tau, row_images.T, -1)[1][0].real)
+    products = ormqr("L", trans, factors, tau, row_images.T, lwork)[0]
+    generator = trtrs(r, products[:size].T, trans=1)[0]
+    # a pair's members share their two rows: U X_k = rows[lo] +- i rows[hi]
+    lo, hi = np.minimum(order, partner), np.maximum(order, partner)
+    remainders = np.linalg.norm(products[size:], axis=0)
+    residuals = np.hypot(remainders, np.where(partner == order, 0.0, remainders[partner]))
+    image_norms = np.linalg.norm(images, axis=1)
+    floor = CLOSURE_ROUNDOFF * EPS * op.norm_bound * np.linalg.norm(coords, axis=1)
     outside = np.flatnonzero(residuals > np.maximum(CLOSURE_RTOL * image_norms, floor))
     if outside.size:
         k = int(outside[0])
         raise NotClosedError(k, residuals[k] / max(image_norms[k], 1e-300))
-    return AdjointRep(tuple(ops), coeffs, residuals)
+    frame = r.T[lo] + 1j * np.sign(order - partner)[:, np.newaxis] * r.T[hi]
+    return AdjointRep(tuple(ops), generator, frame, residuals)
 
 
 def expectations(basis, rho) -> np.ndarray:
@@ -101,17 +145,20 @@ def expectations(basis, rho) -> np.ndarray:
 def propagate_expectations(rep: AdjointRep, initial, times) -> np.ndarray:
     """Evolve an expectation-value vector: row ``i`` holds the values at ``times[i]``.
 
+    ``inv(frame) @ initial`` steps with the generator, and ``frame`` reads it out.
     For a closed set this matches the Schroedinger-picture readout
     ``Tr(X_k rho(t))`` at every time.
     """
     initial = _as_array(initial, "initial", (1,), rep.size)
-    return propagate_linear(rep.coeffs, initial, times)
+    start = get_lapack_funcs("gesv", (rep.frame, initial))(rep.frame, initial)[2]
+    return propagate_linear(rep.generator, start, times) @ rep.frame.T
 
 
 def adjoint_spectrum(rep: AdjointRep) -> EigenDecomposition:
-    """Eigenvalues of the coefficient matrix.
+    """Eigenvalues and eigenvectors of the generator; ``rep.frame`` times the
+    latter gives those of the coefficient matrix, which has the same eigenvalues.
 
     Their complex conjugates form a sub-multiset of the superoperator
     spectrum, so conjugate before comparing across representations.
     """
-    return eig(rep.coeffs)
+    return eig(rep.generator)

@@ -53,7 +53,7 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     length of at least 1, and of ``n`` when given.  ``dtype=None`` keeps a
     real floating ``a`` float and makes anything else complex.  Ragged,
     non-numeric, misshapen and non-finite input all raise
-    :class:`ValidationError`.
+    :class:`ValidationError`, and so do booleans for ``dtype=float``.
     """
     try:
         if dtype is None:
@@ -61,6 +61,8 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
         arr = np.asarray(a, dtype=dtype)
     except (TypeError, ValueError) as exc:  # ragged, non-numeric, complex as float
         raise ValidationError(f"{name} must be numeric with one shape") from exc
+    if dtype is float and np.asarray(a).dtype == bool:  # True is no time
+        raise ValidationError(f"{name} must be numbers, not booleans")
     if ndims is not None:
         last = arr.shape[-1] if arr.ndim else 0
         square = arr.ndim < 2 or arr.shape[-2] == last
@@ -192,7 +194,7 @@ def _stepped(a, y, times, stop=None) -> np.ndarray:
             dt = t - previous
             if dt != 0.0:
                 if step is None or abs(dt - step) > 8.0 * EPS * abs(t):
-                    step, propagator = dt, scipy.linalg.expm(dt * a)
+                    step, propagator = dt, scipy.linalg.expm(dt * a).astype(out.dtype, copy=False)
                 y = propagator @ y
             if stop is not None and stop(t, y):
                 return out[:i]
@@ -356,10 +358,12 @@ class EigenDecomposition:
 
 
 def _dense_eig(m, right: bool):
-    """``(m, eigenvalues, right eigenvectors or None)``, sorted by real part, then imaginary part.
+    """``(m, eigenvalues, right eigenvectors or None, order)``: LAPACK's results, and the
+    order that sorts them by real part, then imaginary part.
 
     A real floating ``m`` stays real: LAPACK's real solver returns complex
-    eigenvalues in exact conjugate pairs and real eigenvalues exactly real.
+    eigenvalues in exact conjugate pairs, the one with positive imaginary
+    part first, and real eigenvalues exactly real.
     """
     m = as_square(m, "m", dtype=None)
     try:
@@ -367,8 +371,7 @@ def _dense_eig(m, right: bool):
     except Exception as exc:  # LAPACK geev convergence failure
         raise EigenSolverError(f"dense eigensolver failed: {exc}") from exc
     values, vectors = result if right else (result, None)
-    order = np.lexsort((values.imag, values.real))
-    return m, values[order], None if vectors is None else vectors[:, order]
+    return m, values, vectors, np.lexsort((values.imag, values.real))
 
 
 def eigvals(m) -> np.ndarray:
@@ -376,7 +379,8 @@ def eigvals(m) -> np.ndarray:
 
     No eigenvectors, residuals or condition number are computed.
     """
-    return _dense_eig(m, right=False)[1]
+    _, values, _, order = _dense_eig(m, right=False)
+    return values[order]
 
 
 def eig(m) -> EigenDecomposition:
@@ -386,11 +390,23 @@ def eig(m) -> EigenDecomposition:
     iteration (LAPACK), in real arithmetic for a real floating ``m``.
     Output is sorted by real part, then imaginary part.  Never fails at
     defective inputs; those are reported through ``eigenvector_condition``.
+    A real ``m`` keeps the residuals and the condition number real too: each
+    pair ``v, conj(v)`` enters as ``sqrt(2) Re v, sqrt(2) Im v``, a unitary
+    mix of the two that leaves ``kappa_2`` unchanged.
     """
-    m, values, vectors = _dense_eig(m, right=True)
-    residuals = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
+    m, values, vectors, order = _dense_eig(m, right=True)
+    if m.dtype.kind == "f":  # LAPACK's x and y of each pair x + iy, x - iy at j, j + 1
+        j = np.flatnonzero(values.imag > 0)
+        columns = np.where(values.imag < 0, -vectors.imag, vectors.real)
+        images = (m @ columns).astype(complex)  # m x and m y, so m v = m x + i m y
+        images[:, j] += 1j * images[:, j + 1].real
+        images[:, j + 1] = images[:, j].conj()
+        columns *= np.where(values.imag == 0.0, 1.0, np.sqrt(2.0))
+    else:
+        columns, images = vectors, m @ vectors
+    residuals = np.linalg.norm(images - vectors * values, axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        condition = float(np.linalg.cond(vectors))
+        condition = float(np.linalg.cond(columns))
     if not np.isfinite(condition):
         condition = np.inf
-    return EigenDecomposition(values, vectors, residuals, condition)
+    return EigenDecomposition(values[order], vectors[:, order], residuals[order], condition)

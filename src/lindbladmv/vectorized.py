@@ -17,13 +17,15 @@ matrix and the coordinates of a Hermitian state are real.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import ComputedStateError, ValidationError
-from .linalg import EPS, EigenDecomposition, _as_array, as_square, as_times, eig, propagate_linear
+from .linalg import EPS, EigenDecomposition, _as_array, _is_number, as_square, as_times, eig
+from .linalg import propagate_linear
 from .model import (
     TRACE_RTOL,
     DensityMatrix,
@@ -44,6 +46,8 @@ def vec(rho) -> np.ndarray:
 
 def unvec(r, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`: rebuild the ``dim x dim`` matrix from a flat vector."""
+    if not (_is_number(dim, numbers.Integral) and dim >= 1):
+        raise ValidationError(f"dim must be an integer >= 1, got {dim!r}")
     return _as_array(r, "r", (1,), dim * dim).reshape((dim, dim), order="F")
 
 

@@ -19,6 +19,7 @@ from lindbladmv.tls import (
     SX,
     SY,
     SZ,
+    S_MINUS,
     TLSParams,
     build_tls,
 )
@@ -150,14 +151,21 @@ def test_spectrum_arnoldi_validates_state(tls_files, tmp_path, capsys, matrix):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["vec", "arnoldi"])
+@pytest.mark.parametrize("method", ["vec", "arnoldi", "heisenberg"])
 def test_spectrum_prints_exact_conjugate_pairs(tmp_path, capsys, rng, method):
     model_path, state_path = tmp_path / "model.json", tmp_path / "state.json"
+    basis_path = tmp_path / "basis.json"
     save_model(model_path, random_model(rng, 3, n_jumps=2))
     rho = random_density(rng, 3).matrix
     save_state(state_path, 0.5 * (rho + rho.conj().T))
-    state = ["--state", str(state_path)] if method == "arnoldi" else []
-    assert main(["spectrum", str(model_path), "--method", method] + state) == 0
+    units = np.eye(9).reshape(9, 3, 3)  # closed under the adjoint, and under every generator
+    save_observables(basis_path, [(f"e{k}", unit) for k, unit in enumerate(units)])
+    options = {
+        "vec": [],
+        "arnoldi": ["--state", str(state_path)],
+        "heisenberg": ["--basis", str(basis_path)],
+    }
+    assert main(["spectrum", str(model_path), "--method", method] + options[method]) == 0
     values = read_spectrum(capsys.readouterr().out)
     assert len(values) == 9
     assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
@@ -173,6 +181,17 @@ def test_not_closed_basis_is_numerical_failure(tmp_path, capsys):
     code = main(["spectrum", str(model_path), "--method", "heisenberg", "--basis", str(basis_path)])
     assert code == 3
     assert "span" in capsys.readouterr().err
+
+
+def test_heisenberg_spectrum_of_a_set_without_its_adjoints(tmp_path, capsys):
+    # {S-} alone closes on an undriven two-level model: L^dag(S-) = (-gamma/2 - i delta) S-
+    delta, gamma = 0.3, 0.8
+    model_path, basis_path = tmp_path / "model.json", tmp_path / "basis.json"
+    save_model(model_path, build_tls(TLSParams(delta, 0.0, gamma)), BASIS_LABELS)
+    save_observables(basis_path, [("Sm", S_MINUS)])
+    assert main(["spectrum", str(model_path), "--method", "heisenberg", "--basis", str(basis_path)]) == 0
+    values = read_spectrum(capsys.readouterr().out)
+    assert np.allclose(values, [-gamma / 2 + 1j * delta], atol=1e-14)
 
 
 def test_malformed_model_exit_code(tmp_path, capsys):

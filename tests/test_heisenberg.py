@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 from lindbladmv.cli import main
 from lindbladmv.errors import DependentBasisError, NotClosedError, ValidationError
 from lindbladmv.heisenberg import (
+    _adjoint_partners,
     adjoint_spectrum,
     close_set,
     expectations,
     propagate_expectations,
 )
-from lindbladmv.model import LindbladModel, random_density, random_model
-from lindbladmv.modelio import save_model, save_observables, save_state
-from lindbladmv.tls import EXCITED, IDENTITY, SX, SY, SZ, TLSParams, build_tls
+from lindbladmv.model import (
+    LindbladModel,
+    apply_adjoint,
+    random_density,
+    random_model,
+    to_hermitian_basis,
+)
+from lindbladmv.modelio import load_observables, save_model, save_observables, save_state
+from lindbladmv.tls import EXCITED, IDENTITY, S_MINUS, S_PLUS, SX, SY, SZ, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
 from conftest import ep_params, multiset_close, pauli_set, submultiset_close, tls_adjoint_golden
@@ -102,6 +109,75 @@ class TestCloseSet:
             image = apply_adjoint(model, x)
             expansion = sum(c * b for c, b in zip(rep.coeffs[k], rep.basis))
             assert np.linalg.norm(image - expansion) <= rep.closure_residuals[k] + 1e-14
+
+
+class TestRealRoute:
+    """Sets that hold the conjugate transpose of each member get a real generator."""
+
+    def test_adjoint_closed_sets_give_a_real_generator(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        for basis in (pauli_set(), matrix_units(3), [S_MINUS, S_PLUS]):
+            system = model if len(basis) == 9 else build_tls(TLSParams(0.0, 0.0, 0.8))
+            rep = close_set(system, basis)
+            assert rep.generator.dtype == np.float64
+
+    def test_matrix_unit_coeffs_are_the_adjoint_on_the_units(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        units = matrix_units(3)
+        rep = close_set(model, units)
+        # the units are orthonormal: coeffs[k, j] = Tr(E_j^dag L^dag(E_k))
+        expected = [[np.vdot(e, apply_adjoint(model, x)) for e in units] for x in units]
+        assert np.abs(rep.coeffs - expected).max() <= 1e-13
+        assert rep.closure_residuals.max() <= 1e-13
+
+    def test_lowering_and_raising_on_undriven_tls(self):
+        delta, gamma = 0.3, 0.8
+        rep = close_set(build_tls(TLSParams(delta, 0.0, gamma)), [S_MINUS, S_PLUS])
+        assert rep.generator.dtype == np.float64
+        expected = np.diag([-gamma / 2 - 1j * delta, -gamma / 2 + 1j * delta])
+        assert np.abs(rep.coeffs - expected).max() <= 1e-14
+        values = np.sort_complex(adjoint_spectrum(rep).eigenvalues)
+        assert np.array_equal(values, np.sort_complex(values.conj()))  # an exact pair
+
+    def test_lowering_alone_takes_the_complex_route(self):
+        delta, gamma = 0.3, 0.8
+        rep = close_set(build_tls(TLSParams(delta, 0.0, gamma)), [S_MINUS])
+        assert rep.generator.dtype == np.complex128
+        assert np.abs(rep.coeffs - [[-gamma / 2 - 1j * delta]]).max() <= 1e-14
+
+    @pytest.mark.parametrize("signed_zero", [False, True])
+    def test_matrix_units_read_from_json_take_the_real_route(self, tmp_path, rng, signed_zero):
+        # conj turns +0.0 into -0.0, so members are compared by value, not by their bits
+        units = [u.conj() if signed_zero else u for u in matrix_units(3)]
+        path = tmp_path / "units.json"
+        save_observables(path, [(f"e{k}", u) for k, u in enumerate(units)])
+        loaded = [m for _, m in load_observables(path)]
+        assert _adjoint_partners(to_hermitian_basis(np.stack(loaded))) is not None
+        rep = close_set(random_model(rng, 3, n_jumps=2), loaded)
+        assert rep.generator.dtype == np.float64
+
+    def test_near_dependent_set_rejected_on_the_real_route(self):
+        basis = [SX, SY, SX + 1e-9 * SY]
+        assert _adjoint_partners(to_hermitian_basis(np.stack(basis))) is not None
+        with pytest.raises(DependentBasisError):
+            close_set(build_tls(TLSParams(0.0, 1.0, 1.0)), basis)
+
+    def test_repeated_member_rejected(self):
+        model = build_tls(TLSParams(0.3, 0.0, 0.8))
+        for basis in ([S_MINUS, S_PLUS, S_MINUS], [SX, SX], [SX, SY, SZ, IDENTITY, SZ]):
+            with pytest.raises(DependentBasisError):
+                close_set(model, basis)
+
+    def test_pair_members_share_their_residual(self):
+        # on a driven model (S-, S+) is not closed: both leave the span by the same amount
+        model = build_tls(TLSParams(0.3, 0.7, 0.8))
+        with pytest.raises(NotClosedError) as excinfo:
+            close_set(model, [S_MINUS, S_PLUS])
+        image = apply_adjoint(model, S_MINUS)
+        # the span of {S-, S+} is the off-diagonal matrices; what is left is the diagonal
+        outside = np.linalg.norm(np.diag(np.diag(image))) / np.linalg.norm(image)
+        assert excinfo.value.index == 0
+        assert excinfo.value.residual == pytest.approx(outside, rel=1e-12)
 
 
 class TestExpectations:

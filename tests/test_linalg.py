@@ -9,6 +9,7 @@ from lindbladmv.linalg import (
     ACTION_RTOL,
     BREAKDOWN_RTOL,
     arnoldi_iteration,
+    as_times,
     eig,
     eigvals,
     expm,
@@ -18,11 +19,12 @@ from lindbladmv.linalg import (
     propagate_linear,
 )
 from lindbladmv.model import random_density, random_model
-from lindbladmv.tls import IDENTITY, SX, SY, SZ
+from lindbladmv.tls import GROUND, IDENTITY, SX, SY, SZ
 from lindbladmv.vectorized import (
     build_superoperator,
     from_hermitian_basis,
     hermitian_matrix,
+    propagate,
     to_hermitian_basis,
     vec,
 )
@@ -443,6 +445,20 @@ class TestPropagateLinear:
         with pytest.raises(ValidationError):
             propagate_linear(np.eye(2), np.ones(3), [1.0])
 
+    @pytest.mark.parametrize(
+        "times", [True, np.bool_(False), [True], np.array([False, True])], ids=repr
+    )
+    def test_booleans_are_not_times(self, times):
+        # a bool is an int to numpy, so True would be taken as t = 1
+        for call in (
+            lambda: as_times(times),
+            lambda: propagate_linear(np.eye(2), np.ones(2), times),
+            lambda: expm_action(np.eye(2), np.ones(2), times),
+            lambda: propagate(build_tls(TLSParams(0.3, 0.7, 1.0)), GROUND, times),
+        ):
+            with pytest.raises(ValidationError, match="booleans"):
+                call()
+
 
 class TestRealArithmetic:
     def test_expm_and_eig_keep_a_real_matrix_real(self, rng):
@@ -465,6 +481,34 @@ class TestRealArithmetic:
         values = eigvals(rng.normal(size=(9, 9)))
         assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
         assert np.sum(values.imag == 0.0) % 2 == 1  # an odd order has an odd count of real ones
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real_eig_matches_the_complex_formulas(self, monkeypatch, seed):
+        # a real eigenvalue and conjugate pairs; LAPACK's vectors are perturbed (keeping
+        # each pair conjugate) so that the residuals are not round-off and can be compared
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(5, 5))
+        original = scipy.linalg.eig
+
+        def perturbed(a, right=True):
+            values, vectors = original(a, right=right)
+            noise = 1e-3 * (rng.normal(size=vectors.shape) + 1j * rng.normal(size=vectors.shape))
+            for j in range(len(values)):
+                if values[j].imag == 0:
+                    vectors[:, j] += noise[:, j].real
+                elif values[j].imag > 0:
+                    vectors[:, j] += noise[:, j]
+                    vectors[:, j + 1] = vectors[:, j].conj()
+            return values, vectors
+
+        monkeypatch.setattr(scipy.linalg, "eig", perturbed)
+        dec = eig(m)
+        values, vectors = dec.eigenvalues, dec.right_eigenvectors
+        assert 0 < np.sum(values.imag == 0.0) < len(values)
+        residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+        assert residuals.min() > 1e-6
+        assert np.allclose(dec.residual_norms, residuals, rtol=1e-12, atol=0.0)
+        assert dec.eigenvector_condition == pytest.approx(np.linalg.cond(vectors), rel=1e-12)
 
     def test_solver_failure_is_eigensolver_error(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -74,6 +74,14 @@ class TestVec:
         with pytest.raises(ValidationError):
             unvec(np.ones(5), 2)
 
+    @pytest.mark.parametrize("dim", [2.0, np.float64(2.0), True, 0, -2], ids=repr)
+    def test_unvec_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError, match="dim"):
+            unvec(np.ones(4), dim)
+
+    def test_unvec_takes_numpy_integers(self):
+        assert np.array_equal(unvec(np.arange(4.0), np.int64(2)), [[0.0, 2.0], [1.0, 3.0]])
+
 
 class TestKroneckerIdentities:
     """The three multiplication rules behind the superoperator assembly."""
