@@ -203,10 +203,10 @@ def run_benchmark(
     ``result_error`` is the HS-norm distance of the produced state from a
     dense eigendecomposition reference.  A warm-up run exceeding
     ``timeout_s`` marks the cell ``"timeout"`` instead of aborting the
-    sweep.  ``dims`` must list integers (NumPy's included, ``bool`` not) and
-    ``methods`` at least one tag; ``seed`` must be a non-negative integer,
-    ``repeats`` an integer of at least 1 and ``timeout_s``, when given, a
-    non-negative number.
+    sweep.  ``dims`` must list distinct integers (NumPy's included, ``bool``
+    not) and ``methods`` distinct tags, at least one of each; ``seed`` must
+    be a non-negative integer, ``repeats`` an integer of at least 1 and
+    ``timeout_s``, when given, a non-negative number.
     """
     dims, methods = list(dims), list(methods)
     if not dims or not methods:
@@ -214,6 +214,8 @@ def run_benchmark(
     if not all(_is_number(n, numbers.Integral) for n in dims):
         raise ValidationError(f"benchmark dimensions must be integers, got {dims!r}")
     dims = [int(n) for n in dims]
+    if len(set(dims)) < len(dims) or len(set(methods)) < len(methods):
+        raise ValidationError(f"benchmark cells must not repeat, got {dims!r} and {methods!r}")
     if any(n < 2 for n in dims):
         raise ValidationError("benchmark dimensions must be >= 2")
     if not _is_number(seed, numbers.Integral) or seed < 0:
@@ -248,14 +250,18 @@ def run_benchmark(
 
 
 def fit_scaling_slopes(records) -> dict[str, float]:
-    """Least-squares slope of ``log(wall time)`` against ``log(n)`` per method."""
+    """Least-squares slope of ``log(wall time)`` against ``log(n)`` per method.
+
+    Only completed cells count, and a method gets a slope only when they
+    span at least two distinct ``n``.
+    """
     by_method: dict[str, list[BenchRecord]] = {}
     for rec in records:
         if rec.status == "ok":
             by_method.setdefault(rec.method, []).append(rec)
     slopes = {}
     for method, recs in by_method.items():
-        if len(recs) < 2:
+        if len({r.n for r in recs}) < 2:
             continue
         xs = np.log([r.n for r in recs])
         ys = np.log([max(r.wall_time_s, 1e-12) for r in recs])

@@ -128,6 +128,8 @@ def cmd_propagate(args) -> int:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     if args.t1 < args.t0:
         raise ValidationError(f"--t1 must be >= --t0, got {args.t0} > {args.t1}")
+    if args.steps == 1 and args.t1 != args.t0:
+        raise ValidationError(f"--steps 1 needs --t1 equal to --t0, got {args.t1} != {args.t0}")
     times = np.linspace(args.t0, args.t1, args.steps)
     krylov_dim = _krylov_dim(args, model)
     labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, krylov_dim)

@@ -2,7 +2,8 @@
 
 Given a candidate basis of observables, decide whether the adjoint
 generator maps each member back into the span, extract the linear system it
-generates on an orthonormal basis of the span, and propagate
+generates on the expectation values of the set's own rows (the members, with
+each adjoint pair as its two Hermitian parts), and propagate
 expectation-value vectors with it.
 """
 
@@ -32,18 +33,21 @@ GRAM_COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class AdjointRep:
-    """A closed operator set with the adjoint generator on an orthonormal basis of its span.
+    """A closed operator set with the adjoint generator on the set's own rows.
 
-    ``basis[k] = sum_j frame[k, j] Q_j`` for Hilbert-Schmidt orthonormal ``Q_j``, and
-    row ``j`` of ``generator`` expands ``L^dag(Q_j)`` in the ``Q_l``: real, with Hermitian
-    ``Q_j``, for a set that holds each member's conjugate transpose.  Row ``k`` of
-    :attr:`coeffs` expands ``L^dag(basis[k])`` in the basis, i.e. gives the time derivative
-    of the k-th expectation value; ``closure_residuals[k]`` is its out-of-span remainder norm.
+    ``partner[k]`` is the index of the member ``basis[k]^dag``, or ``k`` itself when that
+    member is Hermitian or the set lacks it.  Row ``k`` stands for ``basis[k]``, except that
+    an adjoint pair ``lo < hi`` stands as its Hermitian parts ``(X_lo + X_hi)/2`` at ``lo``
+    and ``(X_hi - X_lo)/2i`` at ``hi``.  Row ``j`` of ``generator`` expands ``L^dag`` of
+    row ``j`` in the rows, i.e. gives the time derivative of its expectation value: real
+    for a set that holds each member's conjugate transpose, and :attr:`coeffs` itself for
+    Hermitian members.  Row ``k`` of :attr:`coeffs` expands ``L^dag(basis[k])`` in the
+    basis; ``closure_residuals[k]`` is its out-of-span remainder norm.
     """
 
     basis: tuple
     generator: np.ndarray
-    frame: np.ndarray
+    partner: np.ndarray
     closure_residuals: np.ndarray
 
     @property
@@ -52,7 +56,20 @@ class AdjointRep:
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self.frame @ self.generator @ np.linalg.inv(self.frame)
+        # M G M^-1 for the pair mix M of _member_values: M^-1 is M^H, halved on a pair
+        mixed = _member_values(self.generator.conj(), self.partner).conj()  # G M^H
+        return _member_values(mixed.T, self.partner).T / (1 + (self.partner != range(self.size)))
+
+
+def _member_values(values: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Member values from the row values ``a`` on the last axis of ``values``.
+
+    ``x_lo = a_lo - i a_hi`` and ``x_hi = a_lo + i a_hi`` for an adjoint pair ``lo < hi``
+    (see :class:`AdjointRep`), ``x_k = a_k`` for a member that is its own partner.
+    """
+    order = np.arange(len(partner))
+    lo, hi = np.minimum(order, partner), np.maximum(order, partner)
+    return values[..., lo] + 1j * np.sign(order - partner) * values[..., hi]
 
 
 def _operator_stack(basis, n: int) -> np.ndarray:
@@ -81,13 +98,14 @@ def _adjoint_partners(coords: np.ndarray):
 
 
 def close_set(model: LindbladModel, basis) -> AdjointRep:
-    """Orthonormalize the span of ``basis`` and expand the adjoint generator on it.
+    """Check that ``basis`` is closed and expand the adjoint generator on its rows.
 
     One unpivoted QR factorizes the rows ``U X_k`` (see ``model.to_hermitian_basis``),
     real for a set that holds each member's conjugate transpose: ``Re U X_k``, with
-    ``Im U X_k`` for the second of each adjoint pair.  The images ``U L^dag(X_k)`` take
-    the same rows; the orthogonal factor splits them into their projection, which one
-    triangular solve turns into the generator, and a remainder.  Fails with
+    ``Im U X_k`` for the second of each adjoint pair, which are the coordinates of the
+    pair's Hermitian parts.  The images ``U L^dag(X_k)`` take the same rows; the
+    orthogonal factor splits them into their projection, which one triangular solve
+    turns into the generator on the rows, and a remainder.  Fails with
     :class:`DependentBasisError` for a numerically dependent basis and with
     :class:`NotClosedError` when any image ``L^dag(X_k)`` leaves the span by more than
     ``CLOSURE_RTOL`` relative to its norm and by more than the round-off floor
@@ -115,19 +133,16 @@ def close_set(model: LindbladModel, basis) -> AdjointRep:
     # Q^H times the images: the first `size` rows project them on the span, the rest remain
     lwork = int(ormqr("L", trans, factors, tau, row_images.T, -1)[1][0].real)
     products = ormqr("L", trans, factors, tau, row_images.T, lwork)[0]
-    generator = trtrs(r, products[:size].T, trans=1)[0]
-    # a pair's members share their two rows: U X_k = rows[lo] +- i rows[hi]
-    lo, hi = np.minimum(order, partner), np.maximum(order, partner)
-    remainders = np.linalg.norm(products[size:], axis=0)
-    residuals = np.hypot(remainders, np.where(partner == order, 0.0, remainders[partner]))
+    # rows = R^T Q^T and images = P^T Q^T + remainder, so images = (R^-1 P)^T rows + remainder
+    generator = trtrs(r, products[:size])[0].T
+    residuals = np.linalg.norm(_member_values(products[size:], partner), axis=0)
     image_norms = np.linalg.norm(images, axis=1)
     floor = CLOSURE_ROUNDOFF * EPS * op.norm_bound * np.linalg.norm(coords, axis=1)
     outside = np.flatnonzero(residuals > np.maximum(CLOSURE_RTOL * image_norms, floor))
     if outside.size:
         k = int(outside[0])
         raise NotClosedError(k, residuals[k] / max(image_norms[k], 1e-300))
-    frame = r.T[lo] + 1j * np.sign(order - partner)[:, np.newaxis] * r.T[hi]
-    return AdjointRep(tuple(ops), generator, frame, residuals)
+    return AdjointRep(tuple(ops), generator, partner, residuals)
 
 
 def expectations(basis, rho) -> np.ndarray:
@@ -145,18 +160,23 @@ def expectations(basis, rho) -> np.ndarray:
 def propagate_expectations(rep: AdjointRep, initial, times) -> np.ndarray:
     """Evolve an expectation-value vector: row ``i`` holds the values at ``times[i]``.
 
-    ``inv(frame) @ initial`` steps with the generator, and ``frame`` reads it out.
-    For a closed set this matches the Schroedinger-picture readout
-    ``Tr(X_k rho(t))`` at every time.
+    The values of the rows, ``(x_lo + x_hi)/2`` and ``i (x_lo - x_hi)/2`` for an adjoint
+    pair ``lo < hi``, step with the generator and are mixed back pair by pair.  For a
+    closed set this matches the Schroedinger-picture readout ``Tr(X_k rho(t))`` at
+    every time.
     """
     initial = _as_array(initial, "initial", (1,), rep.size)
-    start = get_lapack_funcs("gesv", (rep.frame, initial))(rep.frame, initial)[2]
-    return propagate_linear(rep.generator, start, times) @ rep.frame.T
+    mate = initial[rep.partner]
+    start = np.where(rep.partner < np.arange(rep.size), 1j * (mate - initial), initial + mate) / 2
+    return _member_values(propagate_linear(rep.generator, start, times), rep.partner)
 
 
 def adjoint_spectrum(rep: AdjointRep) -> EigenDecomposition:
-    """Eigenvalues and eigenvectors of the generator; ``rep.frame`` times the
-    latter gives those of the coefficient matrix, which has the same eigenvalues.
+    """Eigenvalues and eigenvectors of the generator, on the rows of ``rep``.
+
+    The coefficient matrix ``rep.coeffs`` has the same eigenvalues; mixing each
+    eigenvector's entries pair by pair, as the readout of
+    :func:`propagate_expectations` mixes values, gives its eigenvectors.
 
     Their complex conjugates form a sub-multiset of the superoperator
     spectrum, so conjugate before comparing across representations.

@@ -264,6 +264,21 @@ class TestBenchmark:
         assert slopes["quartic"] == pytest.approx(4.0, abs=1e-9)
         assert slopes["sextic"] == pytest.approx(6.0, abs=1e-9)
 
+    def test_slope_needs_two_distinct_dims(self):
+        records = [BenchRecord(3, "once", 0.5, 0.0), BenchRecord(3, "once", 0.7, 0.0)]
+        records += [BenchRecord(n, "timed-out", 1.0, float("nan"), "timeout") for n in (2, 4)]
+        records += [BenchRecord(2, "twice", 1.0, 0.0), BenchRecord(4, "twice", 4.0, 0.0)]
+        assert fit_scaling_slopes(records) == {"twice": pytest.approx(2.0, abs=1e-12)}
+
+    @pytest.mark.parametrize(
+        "dims, methods",
+        [([3, 3], ["full-expm"]), ([2, np.int64(2)], ["full-expm"]), ([2], ["full-expm"] * 2)],
+        ids=["dims", "numpy-dims", "methods"],
+    )
+    def test_rejects_repeated_cells(self, dims, methods):
+        with pytest.raises(ValidationError, match="must not repeat"):
+            run_benchmark(dims, methods, seed=0, repeats=1)
+
     def test_rejects_tiny_dims(self):
         with pytest.raises(ValidationError):
             run_benchmark([1], ["full-expm"], seed=0)

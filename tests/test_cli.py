@@ -242,6 +242,29 @@ def test_propagate_single_initial_row(tls_files, capsys):
     assert float(rows[0]["Sz_re"]) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys):
+    paths, _ = tls_files
+    argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
+            "--observables", str(paths["obs"]), "--t0", "0", "--t1", "5", "--steps", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --steps 1 ")
+    assert captured.out == ""
+
+
+def test_heisenberg_identity_reads_exactly_one(tmp_path, capsys):
+    model, state, basis = (tmp_path / name for name in ("m.json", "s.json", "b.json"))
+    assert main(["make-tls", "--detuning", "1.0", "--drive", "2.0", "--decay", "1.0",
+                 "--out", str(model)]) == 0
+    save_state(state, GROUND, BASIS_LABELS)
+    save_observables(basis, [("Sx", SX), ("Sy", SY), ("Sz", SZ), ("I", IDENTITY)])
+    assert main(["propagate", str(model), "--state", str(state), "--observables", str(basis),
+                 "--t0", "0", "--t1", "5", "--steps", "21", "--method", "heisenberg"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 21
+    assert {row["I_re"] for row in rows} == {"1.0"}
+
+
 def test_propagate_methods_agree(tls_files, capsys):
     paths, _ = tls_files
     columns = {}
@@ -385,6 +408,8 @@ def test_bench_csv_and_slopes(tmp_path, capsys):
         ["--dims", "2", "--timeout", "-1"],
         ["--dims", ","],
         ["--dims", "2", "--methods", ","],
+        ["--dims", "3,3"],
+        ["--dims", "2,3", "--methods", "full-expm,full-expm"],
     ],
 )
 def test_bench_rejects_bad_options(tmp_path, capsys, options):

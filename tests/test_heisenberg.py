@@ -11,6 +11,7 @@ from lindbladmv.cli import main
 from lindbladmv.errors import DependentBasisError, NotClosedError, ValidationError
 from lindbladmv.heisenberg import (
     _adjoint_partners,
+    _member_values,
     adjoint_spectrum,
     close_set,
     expectations,
@@ -24,7 +25,18 @@ from lindbladmv.model import (
     to_hermitian_basis,
 )
 from lindbladmv.modelio import load_observables, save_model, save_observables, save_state
-from lindbladmv.tls import EXCITED, IDENTITY, S_MINUS, S_PLUS, SX, SY, SZ, TLSParams, build_tls
+from lindbladmv.tls import (
+    EXCITED,
+    GROUND,
+    IDENTITY,
+    S_MINUS,
+    S_PLUS,
+    SX,
+    SY,
+    SZ,
+    TLSParams,
+    build_tls,
+)
 from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
 from conftest import ep_params, multiset_close, pauli_set, submultiset_close, tls_adjoint_golden
@@ -138,6 +150,29 @@ class TestRealRoute:
         assert np.abs(rep.coeffs - expected).max() <= 1e-14
         values = np.sort_complex(adjoint_spectrum(rep).eigenvalues)
         assert np.array_equal(values, np.sort_complex(values.conj()))  # an exact pair
+
+    def test_partner_indexes_each_members_adjoint(self, rng):
+        undriven = build_tls(TLSParams(0.3, 0.0, 0.8))
+        assert close_set(undriven, [S_MINUS, S_PLUS]).partner.tolist() == [1, 0]
+        assert close_set(undriven, [S_MINUS]).partner.tolist() == [0]
+        assert close_set(undriven, pauli_set()).partner.tolist() == [0, 1, 2, 3]
+        rep = close_set(random_model(rng, 3, n_jumps=2), matrix_units(3))
+        assert rep.partner.tolist() == [3 * (k % 3) + k // 3 for k in range(9)]
+
+    def test_hermitian_members_are_the_rows(self, rng):
+        for model in (build_tls(TLSParams(1.0, 2.0, 1.0)), random_model(rng, 2, n_jumps=2)):
+            rep = close_set(model, pauli_set())
+            assert np.array_equal(rep.coeffs, rep.generator)
+
+    def test_mixed_eigenvectors_are_those_of_coeffs(self, rng):
+        cases = [(random_model(rng, 3, n_jumps=2), matrix_units(3)),
+                 (build_tls(TLSParams(0.7, 1.3, 0.9)), pauli_set())]
+        for model, basis in cases:
+            rep = close_set(model, basis)
+            decomposition = adjoint_spectrum(rep)
+            vectors = _member_values(decomposition.right_eigenvectors.T, rep.partner).T
+            residual = rep.coeffs @ vectors - vectors * decomposition.eigenvalues
+            assert np.abs(residual).max() <= 1e-12
 
     def test_lowering_alone_takes_the_complex_route(self):
         delta, gamma = 0.3, 0.8
@@ -257,6 +292,38 @@ class TestPropagateExpectations:
         for t, row in zip(times, trajectory):
             rho = unvec(scipy.linalg.expm(matrix * t) @ vec(rho0.matrix), n)
             assert np.abs(row - expectations(basis, rho)).max() <= 1e-9
+
+    def test_identity_reads_exactly_one(self):
+        rep = close_set(build_tls(TLSParams(1.0, 2.0, 1.0)), pauli_set())
+        initial = expectations(rep.basis, GROUND)
+        trajectory = propagate_expectations(rep, initial, np.linspace(0.0, 5.0, 21))
+        assert (trajectory[:, 3] == 1.0).all()
+
+    @pytest.mark.parametrize("case", ["lowering-raising", "matrix-units"])
+    def test_complex_initial_follows_the_coefficient_matrix(self, rng, case):
+        # any complex vector, not only the values of a state, steps by exp(coeffs t)
+        if case == "lowering-raising":
+            model, basis = build_tls(TLSParams(0.3, 0.0, 0.8)), [S_MINUS, S_PLUS]
+        else:
+            model, basis = random_model(rng, 3, n_jumps=2), matrix_units(3)
+        rep = close_set(model, basis)
+        initial = rng.normal(size=rep.size) + 1j * rng.normal(size=rep.size)
+        times = [0.0, 0.4, 1.3, 3.0]
+        trajectory = propagate_expectations(rep, initial, times)
+        for t, row in zip(times, trajectory):
+            expected = scipy.linalg.expm(rep.coeffs * t) @ initial
+            assert np.linalg.norm(row - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_non_orthogonal_hermitian_set_matches_schroedinger(self, rng):
+        basis = [IDENTITY, SX + SZ, SY, SZ + 0.3 * IDENTITY]
+        for model in (build_tls(TLSParams(0.7, 1.3, 0.9)), random_model(rng, 2, n_jumps=2)):
+            rep = close_set(model, basis)
+            rho0 = random_density(rng, 2)
+            times = np.linspace(0.0, 4.0, 9)
+            heis = propagate_expectations(rep, expectations(basis, rho0), times)
+            states = propagate(build_superoperator(model), rho0, times)
+            schro = expectations(basis, np.stack([state.matrix for state in states]))
+            assert np.abs(heis - schro).max() <= 1e-12
 
     def test_hermitian_members_stay_real(self, rng):
         model = random_model(rng, 2)
