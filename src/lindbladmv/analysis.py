@@ -7,6 +7,7 @@ benchmark over the propagation methods.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass
@@ -16,10 +17,10 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import _as_array, _is_number, as_square, eig, hs_norm
+from .linalg import _as_array, _is_number, as_square, eig
 from .model import random_density, random_model
 from .vectorized import Superoperator, build_superoperator, hermitian_matrix, propagate, spectrum
-from .vectorized import unvec, vec
+from .vectorized import to_hermitian_basis, unvec, vec
 
 #: Eigenvector condition number beyond which a spectrum counts as defective.
 DEFECTIVE_CONDITION_LIMIT = 1e8
@@ -58,9 +59,11 @@ class ModeDecomposition:
 def observable_modes(superop: Superoperator, rho0, observable) -> ModeDecomposition:
     """Decompose ``Tr(X rho(t))`` into the eigenmodes of the superoperator.
 
-    Amplitudes are left/right eigenvector projections of the observable and
-    the initial state in Liouville space; zero-amplitude modes are pruned.
-    Raises :class:`DefectiveSpectrumError` when the eigenvector basis is too
+    With the eigenvectors ``V`` of :func:`~lindbladmv.vectorized.spectrum`
+    (Hermitian-basis coordinates) and ``Tr(X rho) = conj(U X^dag) . U rho``,
+    the amplitudes are the weights ``conj(U X^dag) V`` times the components
+    ``V^-1 U rho0``; zero-amplitude modes are pruned.  Raises
+    :class:`DefectiveSpectrumError` when the eigenvector basis is too
     ill-conditioned to trust (use :func:`detect_degeneracy` there instead).
     """
     rho0 = as_square(rho0, "rho0", superop.dim_hilbert)
@@ -72,8 +75,8 @@ def observable_modes(superop: Superoperator, rho0, observable) -> ModeDecomposit
             f"{DEFECTIVE_CONDITION_LIMIT:.1e}; spectrum is (numerically) defective"
         )
     vectors = dec.right_eigenvectors
-    weights = vec(x.conj().T).conj() @ vectors
-    components = np.linalg.solve(vectors, vec(rho0))
+    weights = to_hermitian_basis(x.conj().T).conj() @ vectors
+    components = np.linalg.solve(vectors, to_hermitian_basis(rho0))
     amplitudes = weights * components
     total = np.abs(amplitudes).sum()
     keep = np.abs(amplitudes) >= AMPLITUDE_PRUNE_RTOL * total if total > 0 else np.abs(amplitudes) > 0
@@ -164,27 +167,27 @@ def _diagonal_propagate(superop: Superoperator, rho0) -> np.ndarray:
     return unvec(r, superop.dim_hilbert)
 
 
-def _method_runner(method, model, superop, rho0):
-    """A call that propagates ``rho0`` to ``BENCH_TIME`` by ``method`` and returns the state.
+def _method_runner(method: str):
+    """A call ``run(model, superop, rho0)`` that returns ``rho0`` propagated to ``BENCH_TIME``.
 
     ``full-expm`` and ``expm-action`` run :func:`~lindbladmv.vectorized.propagate`
     as ``propagate --method vec`` and ``--method expm-action`` do, and
     ``arnoldi-<k>`` the reduction of ``propagate --method arnoldi --krylov-dim k``.
     """
     if method == "full-diagonalization":
-        return lambda: _diagonal_propagate(superop, rho0)
+        return lambda model, superop, rho0: _diagonal_propagate(superop, rho0)
     if method == "full-expm":
-        return lambda: propagate(superop, rho0, [BENCH_TIME])[0].matrix
+        return lambda model, superop, rho0: propagate(superop, rho0, [BENCH_TIME])[0].matrix
     if method == "expm-action":
-        return lambda: propagate(model, rho0, [BENCH_TIME], method="expm_action")[0].matrix
-    if method.startswith("arnoldi-"):
-        try:
-            k = int(method.split("-", 1)[1])
-        except ValueError:
+        return lambda model, superop, rho0: propagate(model, rho0, [BENCH_TIME])[0].matrix
+    if isinstance(method, str) and method.startswith("arnoldi-"):
+        digits = method.removeprefix("arnoldi-")
+        if not digits.isdecimal():
             raise ValidationError(f"bad arnoldi method tag {method!r}")
-        k = min(k, model.dim**2 - 1)
-        norm0 = hs_norm(rho0)
-        return lambda: propagate_reduced(arnoldi_reduce(model, rho0, k), [BENCH_TIME])[0] * norm0
+        k = int(digits)
+        return lambda model, superop, rho0: propagate_reduced(
+            arnoldi_reduce(model, rho0, min(k, model.dim**2 - 1)), [BENCH_TIME]
+        )[0]
     raise ValidationError(f"unknown benchmark method {method!r}")
 
 
@@ -206,7 +209,8 @@ def run_benchmark(
     sweep.  ``dims`` must list distinct integers (NumPy's included, ``bool``
     not) and ``methods`` distinct tags, at least one of each; ``seed`` must
     be a non-negative integer, ``repeats`` an integer of at least 1 and
-    ``timeout_s``, when given, a non-negative number.
+    ``timeout_s``, when given, a non-negative number.  All of them, every
+    method tag included, are checked before any model is built.
     """
     dims, methods = list(dims), list(methods)
     if not dims or not methods:
@@ -224,6 +228,7 @@ def run_benchmark(
         raise ValidationError(f"repeats must be an integer >= 1, got {repeats!r}")
     if timeout_s is not None and not (_is_number(timeout_s) and timeout_s >= 0.0):  # NaN fails too
         raise ValidationError(f"timeout_s must be a number >= 0, got {timeout_s!r}")
+    runners = [_method_runner(method) for method in methods]
     rng = np.random.default_rng(seed)
     records = []
     for n in dims:
@@ -231,8 +236,8 @@ def run_benchmark(
         rho0 = random_density(rng, n)
         superop = build_superoperator(model)
         reference = _diagonal_propagate(superop, rho0)
-        for method in methods:
-            run = _method_runner(method, model, superop, rho0)
+        for method, runner in zip(methods, runners):
+            run = functools.partial(runner, model, superop, rho0)
             start = time.perf_counter()
             result = run()  # warm-up, discarded from timing
             warmup = time.perf_counter() - start

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
-from .linalg import eigvals, hs_norm
+from .linalg import eigvals
 from .model import validate_state
 
 EXIT_OK = 0
@@ -104,13 +104,12 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
     labels = [label for label, _ in observables]
     ops = np.stack([matrix for _, matrix in observables])
     if method in ("vec", "expm-action"):
-        inner = "expm" if method == "vec" else "expm_action"
-        states = vectorized.propagate(model, rho0, times, method=inner)
+        system = vectorized.build_superoperator(model) if method == "vec" else model
+        states = vectorized.propagate(system, rho0, times)
         rows = heisenberg.expectations(ops, np.stack([state.matrix for state in states]))
     elif method == "arnoldi":
         reduction = arnoldi.arnoldi_reduce(model, rho0, krylov_dim)
-        states = arnoldi.propagate_reduced(reduction, times) * hs_norm(rho0.matrix)
-        rows = heisenberg.expectations(ops, states)
+        rows = heisenberg.expectations(ops, arnoldi.propagate_reduced(reduction, times))
     elif method == "heisenberg":
         rep = heisenberg.close_set(model, ops)
         initial = heisenberg.expectations(rep.basis, rho0)
@@ -126,6 +125,8 @@ def cmd_propagate(args) -> int:
     observables = modelio.load_observables(args.observables)
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    if not np.isfinite([args.t0, args.t1]).all():
+        raise ValidationError(f"--t0 and --t1 must be finite, got {args.t0} and {args.t1}")
     if args.t1 < args.t0:
         raise ValidationError(f"--t1 must be >= --t0, got {args.t0} > {args.t1}")
     if args.steps == 1 and args.t1 != args.t0:

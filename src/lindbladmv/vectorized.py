@@ -4,12 +4,13 @@ Column-stacking convention throughout, and in no other module: entry
 ``(a, b)`` of an ``n x n`` matrix lands at flat index ``b*n + a``
 (0-based).  Left multiplication ``A rho`` becomes ``kron(I, A)``, right
 multiplication ``rho B`` becomes ``kron(B.T, I)``, and a sandwich
-``A rho B`` becomes ``kron(B.T, A)``.  Every kernel works in coordinates
-on the orthonormal Hermitian basis, which
+``A rho B`` becomes ``kron(B.T, A)``.  Only :func:`vec`, :func:`unvec`,
+:func:`build_superoperator` and :func:`hermitian_matrix` know it: every
+kernel works in coordinates on the orthonormal Hermitian basis, which
 :func:`~lindbladmv.model.to_hermitian_basis` (``U``, re-exported here)
-gives for matrices: the dense ones on ``U S U^H`` (:func:`hermitian_matrix`,
-``U`` read on the ``vec`` vectors of the columns of ``S``), the
-matrix-free propagation path on the model's
+gives for matrices.  :func:`hermitian_matrix` is ``U S U^H``, which
+:func:`propagate` steps for a superoperator and whose eigenvectors
+:func:`spectrum` returns; a model is propagated on its matrix-free
 :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`.  A Lindblad
 generator maps Hermitian matrices to Hermitian ones, so on that basis its
 matrix and the coordinates of a Hermitian state are real.
@@ -18,7 +19,7 @@ matrix and the coordinates of a Hermitian state are real.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -56,10 +57,11 @@ class Superoperator:
     """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states.
 
     ``model`` is set only by :func:`build_superoperator`, to the model the
-    matrix was assembled from; the matrix-free propagation path applies its
-    :attr:`LindbladModel.operator`.  It is not a constructor argument and
-    ``dataclasses.replace`` does not carry it over, so a hand-built or
-    replaced superoperator has no model and is applied through its matrix.
+    matrix was assembled from; it tells :func:`hermitian_matrix` that the
+    matrix preserves Hermiticity, so ``U S U^H`` is real.  It is not a
+    constructor argument and ``dataclasses.replace`` does not carry it over,
+    so a hand-built or replaced superoperator has no model and a complex
+    ``U S U^H``.
     """
 
     dim_hilbert: int
@@ -118,50 +120,36 @@ def hermitian_matrix(superop: Superoperator) -> np.ndarray:
     return np.ascontiguousarray(r.real) if superop.model is not None else r.conj()
 
 
-def propagate(
-    system: Superoperator | LindbladModel,
-    rho0,
-    times,
-    *,
-    method: str = "expm",
-) -> list[DensityMatrix]:
+def propagate(system: Superoperator | LindbladModel, rho0, times) -> list[DensityMatrix]:
     """Evolve the state ``rho0`` to each requested time.
 
-    ``system`` is a :class:`Superoperator` or a :class:`LindbladModel`.
-    Both methods step the Hermitian-basis coordinates ``U rho0``, real
-    when ``rho0`` equals its conjugate transpose exactly, through
-    :func:`~lindbladmv.linalg.propagate_linear` and map them back once.
-    ``method="expm"`` uses the dense exponential of the superoperator matrix
-    (assembled here when ``system`` is a model) on the Hermitian basis.
-    ``method="expm_action"`` on a model, or on a superoperator made by
-    :func:`build_superoperator`, never uses the dense matrix: it applies the
-    model's matrix-free generator on the Hermitian basis
-    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`).  A hand-built
-    or replaced superoperator has no model, so with either method it runs
-    the dense exponential of its matrix.
+    The route follows the type of ``system``.  A :class:`Superoperator` is
+    stepped by the dense exponential of :func:`hermitian_matrix`; a
+    :class:`LindbladModel` never forms the dense matrix: its matrix-free
+    generator on the Hermitian basis
+    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`) goes through
+    :func:`~lindbladmv.linalg.expm_action`.  Either way
+    :func:`~lindbladmv.linalg.propagate_linear` steps the coordinates
+    ``U rho0``, real when ``rho0`` equals its conjugate transpose exactly,
+    and they are mapped back once.
 
     Times must be non-negative and ascending.  An invalid ``rho0`` raises
     :class:`StateValidationError`; a computed state that fails the
     density-matrix invariants (trace to the budget at
     :data:`~lindbladmv.model.TRACE_RTOL`) raises :class:`ComputedStateError`.
     """
-    if method not in ("expm", "expm_action"):
-        raise ValidationError(f"unknown propagation method {method!r}")
-    if isinstance(system, LindbladModel):
-        model, superop, n = system, None, system.dim
-    else:
-        model, superop, n = system.model, system, system.dim_hilbert
+    is_model = isinstance(system, LindbladModel)
+    n = system.dim if is_model else system.dim_hilbert
     rho0 = validate_state(rho0).matrix
     if rho0.shape != (n, n):
         raise ValidationError(f"state shape {rho0.shape} does not match dim {n}")
     times = as_times(times)
     r0 = to_hermitian_basis(rho0)
     r0 = r0 if r0.imag.any() else r0.real
-    if method == "expm_action" and model is not None:
-        generator, norm = model.operator.hermitian, model.operator.norm_bound
+    if is_model:
+        generator, norm = system.operator.hermitian, system.operator.norm_bound
     else:
-        superop = superop if superop is not None else build_superoperator(model)
-        generator, norm = hermitian_matrix(superop), np.linalg.norm(superop.matrix, 1)
+        generator, norm = hermitian_matrix(system), np.linalg.norm(system.matrix, 1)
     states = from_hermitian_basis(propagate_linear(generator, r0, times))
     violations = state_violations(states, TRACE_RTOL + EPS * norm * times)
     if violations:
@@ -171,16 +159,14 @@ def propagate(
 
 
 def spectrum(superop: Superoperator) -> EigenDecomposition:
-    """Full spectrum of the superoperator matrix.
+    """Full spectrum of the superoperator matrix: :func:`~lindbladmv.linalg.eig` of
+    :func:`hermitian_matrix`.
 
     For a valid model this is a contraction-semigroup spectrum: real parts
     are non-positive (up to round-off) and eigenvalues come in conjugate
-    pairs, with a zero eigenvalue for the stationary state.  The solver runs
-    on :func:`hermitian_matrix`, so a model's pairs are exact; the right
-    eigenvectors are mapped back to ``vec`` vectors, and the residual
-    norms and the condition number, which ``U`` leaves unchanged, are those
-    computed on the Hermitian basis.
+    pairs, exact ones because the matrix is real, with a zero eigenvalue for
+    the stationary state.  The right eigenvectors are Hermitian-basis
+    coordinates; ``U`` is unitary, so the eigenvalues, the residual norms
+    and the condition number are those of the superoperator matrix itself.
     """
-    dec = eig(hermitian_matrix(superop))
-    matrices = from_hermitian_basis(dec.right_eigenvectors.T)  # (k, a, b) -> vec index b n + a
-    return replace(dec, right_eigenvectors=matrices.T.reshape(superop.dim_hilbert**2, -1))
+    return eig(hermitian_matrix(superop))

@@ -238,7 +238,7 @@ class TestBenchmark:
         reference = analysis._diagonal_propagate(superop, rho0)
         states = {
             "full-expm": propagate(superop, rho0, [analysis.BENCH_TIME])[0],
-            "expm-action": propagate(model, rho0, [analysis.BENCH_TIME], method="expm_action")[0],
+            "expm-action": propagate(model, rho0, [analysis.BENCH_TIME])[0],
         }
         for rec in records:
             assert rec.result_error == float(np.linalg.norm(states[rec.method].matrix - reference))
@@ -325,6 +325,16 @@ class TestBenchmark:
         (record,) = run_benchmark(np.array([2]), ["full-expm"], seed=0, repeats=1)
         assert record.n == 2 and type(record.n) is int and record.status == "ok"
 
-    def test_unknown_method(self):
+    def test_unknown_method(self, monkeypatch):
+        import lindbladmv.analysis as analysis
+
         with pytest.raises(ValidationError):
             run_benchmark([2], ["cayley"], seed=0)
+
+        def no_model_work(*args):  # every tag is checked before any model is built
+            raise AssertionError("the reference propagation ran")
+
+        monkeypatch.setattr(analysis, "_diagonal_propagate", no_model_work)
+        for methods in (["full-expm", "bogus"], ["arnoldi-x"], ["arnoldi--1"], [5]):
+            with pytest.raises(ValidationError):
+                run_benchmark([24], methods, repeats=1)

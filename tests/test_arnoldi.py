@@ -13,7 +13,13 @@ from lindbladmv.arnoldi import (
 )
 from lindbladmv.errors import ValidationError
 from lindbladmv.linalg import hs_inner, hs_norm
-from lindbladmv.model import LindbladModel, apply_generator, random_density, random_model
+from lindbladmv.model import (
+    LindbladModel,
+    apply_generator,
+    from_hermitian_basis,
+    random_density,
+    random_model,
+)
 from lindbladmv.tls import GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
@@ -130,6 +136,8 @@ class TestHermitianCoordinates:
         model = random_model(rng, 4, n_jumps=2)
         reduction = arnoldi_reduce(model, self.exactly_hermitian_density(rng, 4), 15)
         assert reduction.hessenberg.dtype == float
+        assert reduction.coordinates.dtype == float
+        assert np.array_equal(reduction.basis, from_hermitian_basis(reduction.coordinates))
         for matrix in reduction.basis:
             assert np.array_equal(matrix, matrix.conj().T)
 
@@ -161,7 +169,7 @@ class TestHermitianCoordinates:
         reduction = arnoldi_reduce(model, rho0, n * n - 1)
         matrix = build_superoperator(model).matrix
         times = [0.0, 0.25, 1.0, 1.0, 4.5]
-        states = propagate_reduced(reduction, times) * hs_norm(rho0)
+        states = propagate_reduced(reduction, times)
         for t, state in zip(times, states):
             expected = scipy.linalg.expm(matrix * t) @ vec(rho0)
             assert np.linalg.norm(vec(state) - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -214,7 +222,7 @@ class TestPropagateReduced:
         reduction = arnoldi_reduce(model, GROUND, 3)
         for t in (0.3, 1.0 / 0.9, 4.0):
             (expected,) = propagate(superop, GROUND, [t])
-            (out,) = propagate_reduced(reduction, [t])  # hs_norm(GROUND) == 1
+            (out,) = propagate_reduced(reduction, [t])
             assert np.linalg.norm(out - expected.matrix) <= 1e-9
 
     def test_mixed_state_norm_factor(self, rng):
@@ -223,7 +231,7 @@ class TestPropagateReduced:
         superop = build_superoperator(model)
         reduction = arnoldi_reduce(model, rho0, 3)
         (expected,) = propagate(superop, rho0, [0.8])
-        out = propagate_reduced(reduction, [0.8])[0] * hs_norm(rho0.matrix)
+        out = propagate_reduced(reduction, [0.8])[0]
         assert np.linalg.norm(out - expected.matrix) <= 1e-9
 
     def test_breakdown_keeps_stationary_state(self, rng):
@@ -231,7 +239,7 @@ class TestPropagateReduced:
         rho0 = random_density(rng, 2)
         reduction = arnoldi_reduce(model, rho0, 3)
         for t in (0.0, 1.0, 10.0):
-            assert np.allclose(propagate_reduced(reduction, [t])[0], reduction.basis[0])
+            assert np.allclose(propagate_reduced(reduction, [t])[0], rho0.matrix)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -247,7 +255,7 @@ class TestPropagateReduced:
         model = random_model(rng, n, n_jumps=n_jumps)
         rho0 = random_density(rng, n)
         reduction = arnoldi_reduce(model, rho0, n * n - 1)
-        states = propagate_reduced(reduction, times) * hs_norm(rho0.matrix)
+        states = propagate_reduced(reduction, times)
         matrix = build_superoperator(model).matrix
         for t, state in zip(times, states):
             expected = unvec(scipy.linalg.expm(matrix * t) @ vec(rho0.matrix), n)
@@ -281,10 +289,9 @@ class TestPropagateReduced:
             superop = build_superoperator(model)
             t = 1.0 / np.linalg.norm(superop.matrix, 2)
             (reference,) = propagate(superop, rho0, [t])
-            norm0 = hs_norm(rho0.matrix)
             for k in dims:
                 reduction = arnoldi_reduce(model, rho0, k)
-                approx = propagate_reduced(reduction, [t])[0] * norm0
+                approx = propagate_reduced(reduction, [t])[0]
                 errors[k].append(np.linalg.norm(approx - reference.matrix))
         medians = [np.median(errors[k]) for k in dims]
         assert all(b < a for a, b in zip(medians, medians[1:]))
@@ -296,7 +303,7 @@ class TestPropagateReduced:
             t = 1.0 / np.linalg.norm(superop.matrix, 2)
             (reference,) = propagate(superop, rho0, [t])
             reduction = arnoldi_reduce(model, rho0, 15)
-            approx = propagate_reduced(reduction, [t])[0] * hs_norm(rho0.matrix)
+            approx = propagate_reduced(reduction, [t])[0]
             full.append(np.linalg.norm(approx - reference.matrix))
         assert max(full) <= 1e-9
 

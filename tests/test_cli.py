@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -242,13 +243,27 @@ def test_propagate_single_initial_row(tls_files, capsys):
     assert float(rows[0]["Sz_re"]) == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys):
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--t0", "0", "--t1", "5", "--steps", "1"], "error: --steps 1 "),
+        (["--t1", "inf", "--steps", "3"], "error: --t0 and --t1 must be finite"),
+        (["--t0=-inf", "--t1", "1", "--steps", "3"], "error: --t0 and --t1 must be finite"),
+        (["--t0=inf", "--t1", "inf", "--steps", "3"], "error: --t0 and --t1 must be finite"),
+    ],
+    ids=["steps-1", "t1-inf", "t0-minus-inf", "both-inf"],
+)
+def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, message):
+    # a bad grid is one error line, with no numpy warning before it
     paths, _ = tls_files
     argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
-            "--observables", str(paths["obs"]), "--t0", "0", "--t1", "5", "--steps", "1"]
-    assert main(argv) == 2
+            "--observables", str(paths["obs"])] + grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --steps 1 ")
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
 
 

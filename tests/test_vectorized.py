@@ -202,19 +202,18 @@ class TestPropagate:
         superop = build_superoperator(model)
         rho0 = random_density(rng, 3)
         times = [0.3, 0.9, 0.9, 1.4, 4.0]
-        dense = propagate(superop, rho0, times, method="expm")
-        for system in (superop, model):
-            action = propagate(system, rho0, times, method="expm_action")
-            assert len(action) == len(times)
-            for a, b in zip(dense, action):
-                assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
+        dense = propagate(superop, rho0, times)
+        action = propagate(model, rho0, times)
+        assert len(action) == len(times)
+        for a, b in zip(dense, action):
+            assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
 
     @pytest.mark.parametrize("seed, n", [(7, 32), (1, 24)])
     def test_long_horizon_action_keeps_unit_trace(self, tmp_path, capsys, seed, n):
         rng = np.random.default_rng(seed)
         model = random_model(rng, n, n_jumps=2)
         rho0 = random_density(rng, n)
-        (_, state) = propagate(build_superoperator(model), rho0, [0.0, 100.0], method="expm_action")
+        (_, state) = propagate(model, rho0, [0.0, 100.0])
         assert abs(np.trace(state.matrix) - 1.0) <= 1e-12
 
         paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
@@ -232,7 +231,7 @@ class TestPropagate:
         rng = np.random.default_rng(7)
         model = random_model(rng, 16, n_jumps=2)
         rho0 = random_density(rng, 16)
-        (_, state) = propagate(model, rho0, [0.0, 46.1], method="expm")
+        (_, state) = propagate(build_superoperator(model), rho0, [0.0, 46.1])
         assert abs(np.trace(state.matrix) - 1.0) <= 1e-11
 
         paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
@@ -250,11 +249,10 @@ class TestPropagate:
         rho0 = random_density(rng, 2)
         broken = dataclasses.replace(superop, matrix=superop.matrix + 0.1 * np.eye(4))
         assert broken.model is None
-        for method in ("expm", "expm_action"):
-            with pytest.raises(NumericalError) as excinfo:
-                propagate(broken, rho0, [0.0, 1.0], method=method)
-            assert not isinstance(excinfo.value, ValidationError)
-            assert excinfo.value.violations[0][0] == "trace"
+        with pytest.raises(NumericalError) as excinfo:
+            propagate(broken, rho0, [0.0, 1.0])
+        assert not isinstance(excinfo.value, ValidationError)
+        assert excinfo.value.violations[0][0] == "trace"
         with pytest.raises(StateValidationError):
             propagate(superop, 2.0 * rho0.matrix, [1.0])
 
@@ -280,8 +278,8 @@ class TestPropagate:
         rng = np.random.default_rng(seed)
         model = random_model(rng, n, n_jumps=n_jumps)
         rho0 = random_density(rng, n)
-        dense = propagate(model, rho0, times, method="expm")
-        action = propagate(model, rho0, times, method="expm_action")
+        dense = propagate(build_superoperator(model), rho0, times)
+        action = propagate(model, rho0, times)
         for a, b in zip(dense, action):
             rho = b.matrix
             assert np.linalg.norm(rho - a.matrix) <= 1e-9
@@ -306,8 +304,8 @@ class TestPropagate:
             g = rng.normal(size=(n, n))
             rho0 = rho0 + 1e-15j * (g + g.T)
         assert to_hermitian_basis(rho0).imag.any() != exact  # real or complex path
-        dense = propagate(model, rho0, times, method="expm")
-        action = propagate(model, rho0, times, method="expm_action")
+        dense = propagate(build_superoperator(model), rho0, times)
+        action = propagate(model, rho0, times)
         for a, b in zip(dense, action):
             assert np.linalg.norm(a.matrix - b.matrix) <= 1e-10
 
@@ -324,7 +322,7 @@ class TestPropagate:
             linalg, "arnoldi_iteration", lambda *a: runs.append(arnoldi_iteration(*a)) or runs[-1]
         )
         monkeypatch.setattr(scipy.linalg, "expm", lambda *a: exponentials.append(a) or expm(*a))
-        propagate(model, rho0, np.linspace(0.0, 5.0, 21), method="expm_action")
+        propagate(model, rho0, np.linspace(0.0, 5.0, 21))
         assert len(runs) == 1
         assert runs[0][1].shape[1] <= 60  # matvecs
         assert len(exponentials) <= 8
@@ -336,8 +334,6 @@ class TestPropagate:
             propagate(superop, rho0, [-1.0])
         with pytest.raises(ValidationError):
             propagate(superop, rho0, [1.0, 0.5])
-        with pytest.raises(ValidationError):
-            propagate(superop, rho0, [0.0], method="cayley")
 
 
 class TestSpectrum:
@@ -444,8 +440,10 @@ class TestHermitianBasis:
         assert not multiset_close(expected, expected.conj(), 1e-3)
         dec = spectrum(superop)
         assert multiset_close(dec.eigenvalues, expected, 1e-10)
-        vectors = dec.right_eigenvectors
-        residuals = np.linalg.norm(matrix @ vectors - vectors * dec.eigenvalues, axis=0)
+        vectors = dec.right_eigenvectors  # Hermitian-basis coordinates
+        residuals = np.linalg.norm(
+            hermitian_matrix(superop) @ vectors - vectors * dec.eigenvalues, axis=0
+        )
         assert residuals.max() <= 1e-10 * np.linalg.norm(matrix)
         assert np.allclose(residuals, dec.residual_norms, atol=1e-12)
 
@@ -455,9 +453,10 @@ class TestHermitianBasis:
         rho0 = random_density(rng, n).matrix
         rho0 = 0.5 * (rho0 + rho0.conj().T)  # exactly Hermitian
         assert not to_hermitian_basis(rho0).imag.any()  # the real path
-        matrix = build_superoperator(model).matrix
+        superop = build_superoperator(model)
+        matrix = superop.matrix
         times = [0.0, 0.3, 0.3, 1.7, 5.0]
-        for t, state in zip(times, propagate(model, rho0, times)):
+        for t, state in zip(times, propagate(superop, rho0, times)):
             expected = scipy.linalg.expm(matrix * t) @ vec(rho0)
             assert np.linalg.norm(vec(state.matrix) - expected) <= 1e-10 * np.linalg.norm(expected)
             assert np.array_equal(state.matrix, state.matrix.conj().T)
