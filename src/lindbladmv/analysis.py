@@ -172,7 +172,8 @@ def _method_runner(method: str):
 
     ``full-expm`` and ``expm-action`` run :func:`~lindbladmv.vectorized.propagate`
     as ``propagate --method vec`` and ``--method expm-action`` do, and
-    ``arnoldi-<k>`` the reduction of ``propagate --method arnoldi --krylov-dim k``.
+    ``arnoldi-<k>`` the reduction of ``propagate --method arnoldi --krylov-dim k``:
+    ``k`` caps it, and it stops where its error estimate at ``BENCH_TIME`` passes.
     """
     if method == "full-diagonalization":
         return lambda model, superop, rho0: _diagonal_propagate(superop, rho0)
@@ -186,7 +187,7 @@ def _method_runner(method: str):
             raise ValidationError(f"bad arnoldi method tag {method!r}")
         k = int(digits)
         return lambda model, superop, rho0: propagate_reduced(
-            arnoldi_reduce(model, rho0, min(k, model.dim**2 - 1)), [BENCH_TIME]
+            arnoldi_reduce(model, rho0, min(k, model.dim**2 - 1), BENCH_TIME), [BENCH_TIME]
         )[0]
     raise ValidationError(f"unknown benchmark method {method!r}")
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, _as_array, _is_number, arnoldi_iteration, as_square, eig
-from .linalg import hs_norm, propagate_linear
+from .linalg import ACTION_RTOL, GROWTH_CHECK, EigenDecomposition, _as_array, _is_number
+from .linalg import _krylov_columns, arnoldi_iteration, as_square, eig, hs_norm, propagate_linear
 from .model import LindbladModel, from_hermitian_basis, to_hermitian_basis
 
 
@@ -32,7 +32,10 @@ class KrylovReduction:
     normalization constants, so the pair (basis, hessenberg) is unique.
     The initial state is ``beta`` (its HS norm) times ``basis[0]``.
     ``breakdown_at`` records the column at which the residual vanished, if
-    the requested dimension was not reached.
+    the requested dimension was not reached.  ``estimate`` is the
+    a-posteriori error estimate of the propagated state at the horizon of
+    the reduction, relative to ``beta``: ``0.0`` after a breakdown, ``None``
+    for a reduction made without a horizon.
     """
 
     coordinates: np.ndarray
@@ -40,6 +43,7 @@ class KrylovReduction:
     breakdown_at: int | None
     model_dim: int
     beta: float
+    estimate: float | None
 
     @property
     def size(self) -> int:
@@ -51,7 +55,13 @@ class KrylovReduction:
         return from_hermitian_basis(self.coordinates)
 
 
-def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReduction:
+def _estimate(hess: np.ndarray, horizon: float) -> float:
+    """``|exp(horizon A)[-1, 0]|`` of the augmented ``A`` of a ``(k + 1, k)`` Arnoldi ``hess``:
+    the error estimate ``h_{k+1,k} |[T phi_1(T H_k)]_{k,1}|`` at ``T = horizon`` from a unit start."""
+    return float(abs(_krylov_columns(hess, [horizon])[0, -1]))
+
+
+def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) -> KrylovReduction:
     """Gram-Schmidt reduction of the generator on the Krylov space of ``rho0``.
 
     Builds at most ``krylov_dim + 1`` basis rows from an integer
@@ -66,12 +76,23 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
     real.  The last application only fills the last Hessenberg column, so
     only an earlier breakdown truncates the reduction to the invariant
     subspace found.
+
+    A finite ``horizon >= 0`` makes ``krylov_dim`` a cap: every
+    ``GROWTH_CHECK`` columns, the error estimate of the propagation to
+    ``horizon`` (the one :func:`~lindbladmv.linalg.expm_action` reads off
+    the same augmented exponential) is checked, and the first ``k`` columns
+    whose estimate, relative to ``beta``, is at most ``ACTION_RTOL`` end
+    the reduction with ``k`` rows and the ``k x k`` Hessenberg matrix.  The
+    reduction's ``estimate`` is that value, ``0.0`` after a breakdown, and
+    the estimate at the cap, computed once, when the cap stops it first.
     """
     n = model.dim
     if not _is_number(krylov_dim, numbers.Integral) or not 0 <= krylov_dim <= n * n - 1:
         raise ValidationError(
             f"krylov_dim must be an integer in [0, {n * n - 1}], got {krylov_dim!r}"
         )
+    if horizon is not None and not (_is_number(horizon) and 0.0 <= horizon < np.inf):
+        raise ValidationError(f"horizon must be a finite number >= 0, got {horizon!r}")
     rho0 = as_square(rho0, "rho0", n)
     beta = hs_norm(rho0)
     if beta == 0.0:
@@ -79,10 +100,25 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int) -> KrylovReducti
 
     v0 = to_hermitian_basis(rho0 / beta)
     v0 = v0 if v0.imag.any() else v0.real
-    rows, hess, breakdown = arnoldi_iteration(model.operator.hermitian.matvec, v0, krylov_dim + 1)
-    size = min(rows.shape[0], krylov_dim + 1)
+    estimate = None
+
+    def grown(hess):  # checked every GROWTH_CHECK columns: the estimate at the horizon passes
+        nonlocal estimate
+        if hess.shape[1] % GROWTH_CHECK:
+            return False
+        estimate = _estimate(hess, horizon)
+        return estimate <= ACTION_RTOL
+
+    stop = None if horizon is None else grown
+    apply = model.operator.hermitian.matvec
+    rows, hess, breakdown = arnoldi_iteration(apply, v0, krylov_dim + 1, stop)
+    size = hess.shape[1]
+    if horizon is not None and breakdown is not None:
+        estimate = 0.0
+    elif horizon is not None and size == krylov_dim + 1:  # the cap stopped the process first
+        estimate = _estimate(hess, horizon)
     breakdown_at = None if breakdown == krylov_dim else breakdown
-    return KrylovReduction(rows[:size], hess[:size, :size], breakdown_at, n, beta)
+    return KrylovReduction(rows[:size], hess[:size, :size], breakdown_at, n, beta, estimate)
 
 
 def project(reduction: KrylovReduction, rho) -> np.ndarray:
@@ -111,7 +147,8 @@ def propagate_reduced(reduction: KrylovReduction, times) -> np.ndarray:
     Returns the ``(T, n, n)`` stack of states of ``rho0`` at the ``T``
     ascending, non-negative ``times``: the Hessenberg matrix is stepped from
     ``beta e_0`` by :func:`~lindbladmv.linalg.propagate_linear`.  Exact
-    whenever the reduction spans the reachable Krylov space.
+    whenever the reduction spans the reachable Krylov space; a reduction
+    made with a horizon carries its error estimate there, ``estimate``.
     """
     y0 = np.zeros(reduction.size, dtype=reduction.hessenberg.dtype)
     y0[0] = reduction.beta

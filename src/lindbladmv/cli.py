@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
-from .linalg import eigvals
+from .linalg import ACTION_RTOL, eigvals
 from .model import validate_state
 
 EXIT_OK = 0
@@ -68,7 +68,8 @@ def _needs_method(args, dest: str, method: str) -> None:
 
 
 def _krylov_dim(args, model) -> int:
-    """``--krylov-dim``, which only ``--method arnoldi`` reads, or its default ``n^2 - 1``."""
+    """``--krylov-dim``, which only ``--method arnoldi`` reads, or its default ``n^2 - 1``:
+    the size of ``spectrum``'s reduction and the cap of ``propagate``'s."""
     _needs_method(args, "krylov_dim", "arnoldi")
     return model.dim**2 - 1 if args.krylov_dim is None else args.krylov_dim
 
@@ -108,7 +109,13 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
         states = vectorized.propagate(system, rho0, times)
         rows = heisenberg.expectations(ops, np.stack([state.matrix for state in states]))
     elif method == "arnoldi":
-        reduction = arnoldi.arnoldi_reduce(model, rho0, krylov_dim)
+        reduction = arnoldi.arnoldi_reduce(model, rho0, krylov_dim, times[-1])
+        if not reduction.estimate <= ACTION_RTOL:  # a NaN estimate warns too
+            sys.stderr.write(
+                f"warning: the Arnoldi reduction of size {reduction.size} has an error estimate "
+                f"of {reduction.estimate:.3e} (relative to the state norm) at t = {times[-1]:g}, "
+                f"above ACTION_RTOL = {ACTION_RTOL:.0e}; raise --krylov-dim\n"
+            )
         rows = heisenberg.expectations(ops, arnoldi.propagate_reduced(reduction, times))
     elif method == "heisenberg":
         rep = heisenberg.close_set(model, ops)

@@ -217,6 +217,17 @@ def _augmented(hess: np.ndarray) -> np.ndarray:
     return out
 
 
+def _krylov_columns(hess: np.ndarray, taus, stop=None) -> np.ndarray:
+    """Column 0 of ``exp(tau A)`` for the :func:`_augmented` ``A`` of ``hess``, one row per ``tau``.
+
+    Stepped by :func:`_stepped`, which passes ``stop`` each time and its
+    row: the first ``k`` entries of a row are the Krylov coefficients from a
+    unit start, the last one its error estimate.
+    """
+    augmented = _augmented(hess)
+    return _stepped(augmented, np.eye(1, len(augmented), dtype=hess.dtype)[0], taus, stop)
+
+
 def expm_action(m, v, t=1.0) -> np.ndarray:
     """Compute ``exp(m * t) @ v`` without forming the full exponential.
 
@@ -277,12 +288,8 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
         excess = abs(psi[-1]) * span / (ACTION_RTOL * abs(tau))
         return True
 
-    def coefficients(hess, taus):  # column 0 of exp(tau A) up to the first tau that misses
-        augmented = _augmented(hess)
-        return _stepped(augmented, np.eye(1, len(augmented), dtype=hess.dtype)[0], taus, misses)
-
     def grown(hess):  # checked every GROWTH_CHECK steps: the estimate at the horizon passes
-        return hess.shape[1] % GROWTH_CHECK == 0 and len(coefficients(hess, [horizon])) == 1
+        return hess.shape[1] % GROWTH_CHECK == 0 and len(_krylov_columns(hess, [horizon], misses)) == 1
 
     starts = grid == 0.0
     out[starts] = v
@@ -300,7 +307,7 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
             whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
             tau = remaining if whole else step_guess
             for _halving in range(80):
-                rows = coefficients(hess, grid[i:] - now if tau == remaining else [tau])
+                rows = _krylov_columns(hess, grid[i:] - now if tau == remaining else [tau], misses)
                 if len(rows):
                     break
                 tau *= 0.5

@@ -243,6 +243,21 @@ class TestBenchmark:
         for rec in records:
             assert rec.result_error == float(np.linalg.norm(states[rec.method].matrix - reference))
 
+    def test_arnoldi_cell_is_sized_at_the_benchmark_time(self):
+        import lindbladmv.analysis as analysis
+        from lindbladmv.arnoldi import arnoldi_reduce, propagate_reduced
+
+        seed, n = 4, 6
+        (record,) = run_benchmark([n], ["arnoldi-35"], seed=seed, repeats=1)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n)
+        rho0 = random_density(rng, n)
+        reference = analysis._diagonal_propagate(build_superoperator(model), rho0)
+        reduction = arnoldi_reduce(model, rho0, 35, analysis.BENCH_TIME)
+        assert reduction.size < n * n  # the cell stops where its estimate passes
+        state = propagate_reduced(reduction, [analysis.BENCH_TIME])[0]
+        assert record.result_error == float(np.linalg.norm(state - reference))
+
     def test_csv_format(self):
         records = [
             BenchRecord(2, "full-expm", 0.5, 1e-12),

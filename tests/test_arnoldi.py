@@ -12,7 +12,7 @@ from lindbladmv.arnoldi import (
     ritz_values,
 )
 from lindbladmv.errors import ValidationError
-from lindbladmv.linalg import hs_inner, hs_norm
+from lindbladmv.linalg import ACTION_RTOL, GROWTH_CHECK, hs_inner, hs_norm
 from lindbladmv.model import (
     LindbladModel,
     apply_generator,
@@ -23,7 +23,7 @@ from lindbladmv.model import (
 from lindbladmv.tls import GROUND, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate, spectrum, unvec, vec
 
-from conftest import ep_params, multiset_close, tls_hessenberg_golden
+from conftest import benchmark_model, ep_params, multiset_close, tls_hessenberg_golden
 
 
 def tls_krylov_basis(delta, eps, gamma):
@@ -306,6 +306,45 @@ class TestPropagateReduced:
             approx = propagate_reduced(reduction, [t])[0]
             full.append(np.linalg.norm(approx - reference.matrix))
         assert max(full) <= 1e-9
+
+
+class TestHorizon:
+    def test_n16_reduction_stops_at_a_growth_check_where_the_estimate_passes(self, rng):
+        n = 16
+        model = benchmark_model(rng, n)
+        rho0 = random_density(rng, n)
+        reduction = arnoldi_reduce(model, rho0, n * n - 1, 5.0)
+        assert reduction.size < n * n and reduction.size % GROWTH_CHECK == 0
+        assert reduction.breakdown_at is None and reduction.estimate <= ACTION_RTOL
+        # the stop only truncates: the reduction is the leading part of the full one, bit for bit
+        full = arnoldi_reduce(model, rho0, n * n - 1)
+        k = reduction.size
+        assert np.array_equal(reduction.hessenberg, full.hessenberg[:k, :k])
+        assert np.array_equal(reduction.coordinates, full.coordinates[:k])
+        times = np.linspace(0.0, 5.0, 21)
+        assert np.abs(propagate_reduced(reduction, times) - propagate_reduced(full, times)).max() <= 1e-13
+
+    def test_one_check_short_of_the_stop_misses_the_budget(self, rng):
+        n = 16
+        model = benchmark_model(rng, n)
+        rho0 = random_density(rng, n)
+        k = arnoldi_reduce(model, rho0, n * n - 1, 5.0).size
+        capped = arnoldi_reduce(model, rho0, k - GROWTH_CHECK - 1, 5.0)
+        assert capped.size == k - GROWTH_CHECK and capped.estimate > ACTION_RTOL
+
+    def test_breakdown_estimate_is_zero_and_takes_no_exponential(self, rng, monkeypatch):
+        calls, original = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or original(a))
+        full = arnoldi_reduce(build_tls(TLSParams(0.7, 1.3, 0.9)), GROUND, 3, 5.0)
+        stationary = arnoldi_reduce(LindbladModel(np.zeros((2, 2))), random_density(rng, 2), 3, 5.0)
+        assert full.estimate == 0.0 and full.size == 4
+        assert stationary.estimate == 0.0 and stationary.breakdown_at == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("horizon", [-1.0, np.inf, np.nan, True, "5", 1j])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValidationError, match="horizon"):
+            arnoldi_reduce(build_tls(TLSParams(0.3, 0.7, 1.0)), GROUND, 3, horizon)
 
 
 class TestRitzValues:

@@ -318,6 +318,72 @@ def test_uniform_grid_takes_one_exponential(tmp_path, capsys, monkeypatch, metho
     assert len(capsys.readouterr().out.strip().splitlines()) == 22
 
 
+@pytest.fixture
+def n8_files(tmp_path, monkeypatch):
+    """Files of a random n = 8 model, a state from the same draw and ``I``, and the
+    Arnoldi reductions the commands make, recorded in order."""
+    import lindbladmv.arnoldi as arnoldi
+
+    rng = np.random.default_rng(1)
+    n = 8
+    paths = [tmp_path / name for name in ("model.json", "state.json", "obs.json")]
+    save_model(paths[0], random_model(rng, n, 2))
+    save_state(paths[1], random_density(rng, n).matrix)
+    save_observables(paths[2], [("I", np.eye(n))])
+    reductions, original = [], arnoldi.arnoldi_reduce
+
+    def recorded(*args):
+        reductions.append(original(*args))
+        return reductions[-1]
+
+    monkeypatch.setattr(arnoldi, "arnoldi_reduce", recorded)
+    return [str(p) for p in paths], reductions
+
+
+def propagate_n8(paths, capsys, *options):
+    argv = ["propagate", paths[0], "--state", paths[1], "--observables", paths[2],
+            "--t0", "0", "--t1", "5", "--steps", "21", *options]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = np.array([[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]])
+    return rows, captured.err
+
+
+def test_arnoldi_default_meets_the_budget_without_the_full_space(n8_files, capsys):
+    from lindbladmv.linalg import ACTION_RTOL
+
+    paths, reductions = n8_files
+    exact, _ = propagate_n8(paths, capsys, "--method", "vec")
+    rows, err = propagate_n8(paths, capsys, "--method", "arnoldi")
+    assert err == "" and rows.shape == (21, 3)
+    assert np.abs(rows - exact).max() <= 1e-10
+    (reduction,) = reductions
+    assert reduction.estimate <= ACTION_RTOL and reduction.size < 64
+
+
+def test_arnoldi_below_the_budget_warns_and_exits_0(n8_files, capsys):
+    from lindbladmv.linalg import ACTION_RTOL
+
+    paths, reductions = n8_files
+    exact, _ = propagate_n8(paths, capsys, "--method", "vec")
+    rows, err = propagate_n8(paths, capsys, "--method", "arnoldi", "--krylov-dim", "5")
+    (reduction,) = reductions
+    assert reduction.size == 6 and reduction.estimate > ACTION_RTOL
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert f"{reduction.estimate:.3e}" in err and "--krylov-dim" in err
+    assert np.abs(rows[:, 1] - 1.0).max() > 0.1  # the trace the warning is about
+    assert np.abs(rows - exact).max() > 0.1
+
+
+def test_spectrum_arnoldi_keeps_the_full_dimension(n8_files, capsys):
+    paths, reductions = n8_files
+    assert main(["spectrum", paths[0], "--method", "arnoldi", "--state", paths[1]]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 64 and captured.err == ""
+    (reduction,) = reductions
+    assert reduction.size == 64 and reduction.estimate is None
+
+
 def test_expm_action_grid_reuses_krylov_bases(tmp_path, capsys, monkeypatch):
     import lindbladmv.linalg as linalg
 
