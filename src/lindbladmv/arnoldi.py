@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ACTION_RTOL, GROWTH_CHECK, EigenDecomposition, _as_array, _is_number
-from .linalg import _krylov_columns, arnoldi_iteration, as_square, eig, hs_norm, propagate_linear
+from .linalg import EigenDecomposition, _as_array, _estimate, _is_number, arnoldi_iteration
+from .linalg import as_square, eig, hs_norm, propagate_linear
 from .model import LindbladModel, from_hermitian_basis, to_hermitian_basis
 
 
@@ -55,12 +55,6 @@ class KrylovReduction:
         return from_hermitian_basis(self.coordinates)
 
 
-def _estimate(hess: np.ndarray, horizon: float) -> float:
-    """``|exp(horizon A)[-1, 0]|`` of the augmented ``A`` of a ``(k + 1, k)`` Arnoldi ``hess``:
-    the error estimate ``h_{k+1,k} |[T phi_1(T H_k)]_{k,1}|`` at ``T = horizon`` from a unit start."""
-    return float(abs(_krylov_columns(hess, [horizon])[0, -1]))
-
-
 def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) -> KrylovReduction:
     """Gram-Schmidt reduction of the generator on the Krylov space of ``rho0``.
 
@@ -69,7 +63,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
     kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on the
     coordinates of ``rho0 / beta`` on the Hermitian basis, whose dot product
     is the Hilbert-Schmidt one, through
-    :attr:`~lindbladmv.model.LiouvilleOperator.hermitian`, and its rows are
+    :meth:`~lindbladmv.model.LiouvilleOperator.matvec`, and its rows are
     kept.  When ``rho0`` equals its conjugate transpose exactly they are
     real: each image is then projected onto its Hermitian part, so round-off
     cannot open an anti-Hermitian direction, and the Hessenberg matrix is
@@ -77,14 +71,14 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
     only an earlier breakdown truncates the reduction to the invariant
     subspace found.
 
-    A finite ``horizon >= 0`` makes ``krylov_dim`` a cap: every
-    ``GROWTH_CHECK`` columns, the error estimate of the propagation to
-    ``horizon`` (the one :func:`~lindbladmv.linalg.expm_action` reads off
-    the same augmented exponential) is checked, and the first ``k`` columns
-    whose estimate, relative to ``beta``, is at most ``ACTION_RTOL`` end
-    the reduction with ``k`` rows and the ``k x k`` Hessenberg matrix.  The
-    reduction's ``estimate`` is that value, ``0.0`` after a breakdown, and
-    the estimate at the cap, computed once, when the cap stops it first.
+    A finite ``horizon >= 0`` makes ``krylov_dim`` a cap: the kernel sizes
+    the basis by the error estimate of the propagation to ``horizon``, the
+    one :func:`~lindbladmv.linalg.expm_action` reads, and the first ``k``
+    columns (a multiple of ``GROWTH_CHECK``) whose estimate, relative to
+    ``beta``, is at most ``ACTION_RTOL`` end the reduction with ``k`` rows
+    and the ``k x k`` Hessenberg matrix.  The reduction's ``estimate`` is
+    that value, ``0.0`` after a breakdown, and the estimate at the cap,
+    computed once, when the cap stops it first.
     """
     n = model.dim
     if not _is_number(krylov_dim, numbers.Integral) or not 0 <= krylov_dim <= n * n - 1:
@@ -100,18 +94,8 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
 
     v0 = to_hermitian_basis(rho0 / beta)
     v0 = v0 if v0.imag.any() else v0.real
-    estimate = None
-
-    def grown(hess):  # checked every GROWTH_CHECK columns: the estimate at the horizon passes
-        nonlocal estimate
-        if hess.shape[1] % GROWTH_CHECK:
-            return False
-        estimate = _estimate(hess, horizon)
-        return estimate <= ACTION_RTOL
-
-    stop = None if horizon is None else grown
-    apply = model.operator.hermitian.matvec
-    rows, hess, breakdown = arnoldi_iteration(apply, v0, krylov_dim + 1, stop)
+    apply = model.operator.matvec
+    rows, hess, breakdown, estimate = arnoldi_iteration(apply, v0, krylov_dim + 1, horizon)
     size = hess.shape[1]
     if horizon is not None and breakdown is not None:
         estimate = 0.0

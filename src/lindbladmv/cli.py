@@ -5,14 +5,15 @@ vectorized generator matrix), ``spectrum`` (eigenvalues by any of the three
 representations), ``propagate`` (observable trajectories as CSV),
 ``degeneracy`` (eigenvalue clusters / exceptional points) and ``bench``
 (scaling benchmark).  Data goes to stdout or ``--out``; diagnostics go to
-stderr.  Exit codes: 0 success, 2 parse/validation error, 3 numerical
-failure.
+stderr.  Exit codes: 0 success, 2 parse/validation error (an ``--out``
+that cannot be written included), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ def _csv_lines(table: np.ndarray) -> list:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with modelio.open_for_writing(out_path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -171,6 +172,10 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise ValidationError(f"--dims must list integers, got {args.dims!r}") from None
     methods = [s for s in args.methods.split(",") if s]
+    existed = os.path.lexists(args.out)
+    modelio.open_for_writing(args.out, "a").close()  # an unwritable --out fails before any timing
+    if not existed:  # a rejected argument leaves no file behind
+        os.remove(args.out)
     records = analysis.run_benchmark(
         dims, methods, seed=args.seed, repeats=args.repeats, timeout_s=args.timeout
     )

@@ -29,8 +29,8 @@ BREAKDOWN_RTOL = 1e-12
 #: Krylov bases on the way to an output sum to at most this times the largest
 #: norm of a vector a basis starts from.
 ACTION_RTOL = 1e-12
-#: A growing basis of :func:`expm_action` checks its estimate at the last grid
-#: time after every this many steps.
+#: :func:`arnoldi_iteration` with a horizon reads its error estimate there
+#: after every this many steps.
 GROWTH_CHECK = 10
 #: Most products with the operator in one Krylov basis of :func:`expm_action`.
 KRYLOV_CAP = 100
@@ -115,26 +115,28 @@ def orthogonalize(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     return coefficients + correction
 
 
-def arnoldi_iteration(apply, v0: np.ndarray, k: int, stop=None):
+def arnoldi_iteration(apply, v0: np.ndarray, k: int, horizon=None, budget=ACTION_RTOL):
     """Arnoldi process: up to ``k`` applications of ``apply`` from the unit vector ``v0``.
 
-    Returns ``(basis, hess, breakdown_at)`` with ``apply(basis[j]) = sum_i hess[i, j] basis[i]``
-    (``A V_k = V_{k+1} H``): row 0 of ``basis`` is ``v0``, each image is
-    orthogonalized against all earlier rows by :func:`orthogonalize` and the
-    subdiagonal is real and non-negative.  ``basis`` has ``k + 1`` rows and
-    ``hess`` is ``(k + 1, k)``, unless a residual is at most ``BREAKDOWN_RTOL``
-    times the norm of its image: that breakdown at step ``j`` returns the
-    ``j + 1`` rows, which span an invariant space, and a ``(j + 2, j + 1)``
-    ``hess`` whose last row holds the residual.  Both take the dtype of
-    ``v0``; from a real ``v0``, ``apply`` must map real vectors to real ones.
+    Returns ``(basis, hess, breakdown_at, estimate)`` with ``A V_k = V_{k+1} H``
+    (``apply(basis[j]) = sum_i hess[i, j] basis[i]``): row 0 of ``basis`` is
+    ``v0``, each image is orthogonalized against all earlier rows by
+    :func:`orthogonalize` and the subdiagonal is real and non-negative.
+    ``basis`` has ``k + 1`` rows and ``hess`` is ``(k + 1, k)``, unless a
+    residual is at most ``BREAKDOWN_RTOL`` times the norm of its image: that
+    breakdown at step ``j`` returns the ``j + 1`` rows, which span an
+    invariant space, and a ``(j + 2, j + 1)`` ``hess`` whose last row holds
+    the residual.  Both take the dtype of ``v0``; from a real ``v0``,
+    ``apply`` must map real vectors to real ones.
 
-    ``stop``, when given, is called with the ``(j + 2, j + 1)`` leading
-    block of ``hess`` after each step ``j < k - 1`` that did not break down;
-    a true result ends the process there, with ``j + 2`` rows of ``basis``.
+    With a ``horizon``, every ``GROWTH_CHECK`` columns short of ``k`` it reads
+    the :func:`_estimate` there, and the first one at most ``budget`` ends the
+    process with ``j + 2`` rows; ``estimate`` is the last one read, or ``None``.
     """
     basis = np.empty((k + 1, v0.shape[0]), dtype=v0.dtype)
     hess = np.zeros((k + 1, k), dtype=v0.dtype)
     basis[0] = v0
+    estimate = None
     for j in range(k):
         u = apply(basis[j])
         scale = np.linalg.norm(u)
@@ -142,11 +144,13 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int, stop=None):
         residual = np.linalg.norm(u)
         hess[j + 1, j] = residual
         if residual <= BREAKDOWN_RTOL * scale:
-            return basis[: j + 1], hess[: j + 2, : j + 1], j
+            return basis[: j + 1], hess[: j + 2, : j + 1], j, estimate
         basis[j + 1] = u / residual
-        if stop is not None and j + 1 < k and stop(hess[: j + 2, : j + 1]):
-            return basis[: j + 2], hess[: j + 2, : j + 1], None
-    return basis, hess, None
+        if horizon is not None and j + 1 < k and (j + 1) % GROWTH_CHECK == 0:
+            estimate = _estimate(hess[: j + 2, : j + 1], horizon)
+            if estimate <= budget:
+                return basis[: j + 2], hess[: j + 2, : j + 1], None, estimate
+    return basis, hess, None, estimate
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
@@ -228,13 +232,19 @@ def _krylov_columns(hess: np.ndarray, taus, stop=None) -> np.ndarray:
     return _stepped(augmented, np.eye(1, len(augmented), dtype=hess.dtype)[0], taus, stop)
 
 
+def _estimate(hess: np.ndarray, horizon: float) -> float:
+    """The error estimate ``h_{k+1,k} |[T phi_1(T H_k)]_{k,1}|`` at ``T = horizon`` of a
+    ``(k + 1, k)`` Arnoldi ``hess`` from a unit start: the last entry of :func:`_krylov_columns`."""
+    return float(abs(_krylov_columns(hess, [horizon])[0, -1]))
+
+
 def expm_action(m, v, t=1.0) -> np.ndarray:
     """Compute ``exp(m * t) @ v`` without forming the full exponential.
 
     ``m`` is a square matrix or a matrix-free linear operator: any object
     with a ``shape`` of ``(N, N)`` and a ``matvec(x)`` method returning the
     product with a length-``N`` vector, such as
-    :attr:`lindbladmv.model.LiouvilleOperator.hermitian`, and optionally a
+    :class:`lindbladmv.model.LiouvilleOperator`, and optionally a
     ``dtype`` (complex when absent).  An operator is trusted as given; a
     matrix is validated.  The Krylov basis and the result take the result
     type of ``m`` and ``v``, so a real operator and a real ``v`` run in real
@@ -252,17 +262,17 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
     an estimate passes when it is at most ``ACTION_RTOL * beta * |tau| / |t_last|``,
     its share of the span to the last grid time, so the estimates of all
     bases on the way to any output sum to at most ``ACTION_RTOL`` times the
-    largest ``beta``; a NaN estimate fails.  The basis grows until, checked
-    every ``GROWTH_CHECK`` steps, its estimate at the last grid time
-    passes, or up to the cap.  Its first substep aims at the next grid time
+    largest ``beta``; a NaN estimate fails.  The basis grows until its
+    estimate at the last grid time passes (:func:`arnoldi_iteration`'s
+    ``horizon``), or up to the cap.  Its first substep aims at the next grid time
     (after a breakdown it is tried first) and halves until its estimate
     passes; from a grid time it reached, it serves every later grid time up
     to the first whose estimate fails, and the next basis starts from the
     last time served.
 
     Raises :class:`ConvergenceError`, whose ``residual`` is the last failing
-    estimate over its budget, when no halving lets a step pass or the grid
-    is not covered within ``MAX_BASES`` bases.
+    estimate of a substep or grid time over its budget, when no halving lets
+    a step pass or the grid is not covered within ``MAX_BASES`` bases.
     """
     if hasattr(m, "matvec"):
         apply, shape, dtype, is_zero = m.matvec, tuple(m.shape), getattr(m, "dtype", complex), False
@@ -288,9 +298,6 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
         excess = abs(psi[-1]) * span / (ACTION_RTOL * abs(tau))
         return True
 
-    def grown(hess):  # checked every GROWTH_CHECK steps: the estimate at the horizon passes
-        return hess.shape[1] % GROWTH_CHECK == 0 and len(_krylov_columns(hess, [horizon], misses)) == 1
-
     starts = grid == 0.0
     out[starts] = v
     dim = min(KRYLOV_CAP, n)
@@ -303,7 +310,8 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
         horizon, remaining, rows = grid[-1] - now, grid[i] - now, ()
         bases += 1
         if bases <= MAX_BASES:
-            basis, hess, breakdown_at = arnoldi_iteration(apply, w / beta, dim, grown)
+            budget = ACTION_RTOL * abs(horizon) / span
+            basis, hess, breakdown_at, _ = arnoldi_iteration(apply, w / beta, dim, horizon, budget)
             whole = breakdown_at is not None or abs(step_guess) >= abs(remaining)
             tau = remaining if whole else step_guess
             for _halving in range(80):

@@ -93,9 +93,12 @@ class LiouvilleOperator:
 
     ``norm_bound`` is ``nu = 2 ||H_eff||_F + sum_k ||L_k||_F^2``, which
     bounds the generator and its adjoint: ``||L rho||_F <= nu ||rho||_F``.
-    :attr:`hermitian` is the same generator as a linear operator on
-    Hermitian-basis coordinates, the one that Krylov methods apply.
+    With ``shape`` ``(n^2, n^2)``, a real ``dtype`` and :meth:`matvec` it is
+    the linear operator on Hermitian-basis coordinates that Krylov methods
+    apply, in the type of their vector.
     """
+
+    dtype = float
 
     def __init__(self, model: LindbladModel):
         self.dim = model.dim
@@ -114,6 +117,9 @@ class LiouvilleOperator:
         self.norm_bound = float(
             2.0 * np.linalg.norm(h_eff) + sum(np.linalg.norm(s) ** 2 for s, _ in jumps)
         )
+        self.shape = (self.dim**2, self.dim**2)
+        self._stacked = np.concatenate([-2j * h_eff] + [s for s, _ in jumps])
+        self._jumps_dag = np.concatenate([d for _, d in jumps]) if jumps else None
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The generator on an ``n x n`` matrix or a stack."""
@@ -129,10 +135,26 @@ class LiouvilleOperator:
             out += scaled_dag @ x @ scaled
         return out
 
-    @cached_property
-    def hermitian(self) -> "HermitianView":
-        """The generator on Hermitian-basis coordinates, built on first use and kept."""
-        return HermitianView(self)
+    def matvec(self, r: np.ndarray) -> np.ndarray:
+        """The generator on the coordinates ``r`` of :func:`to_hermitian_basis`, in their type.
+
+        Real coordinates are those of an exactly Hermitian ``M``; one product
+        stacks ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by
+        ``Kn x n`` product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the
+        Hamiltonian part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian
+        part of ``-2i X``, so the real part of the sum's coordinates, which
+        are those of its Hermitian part, gives the coordinates of the image.
+        Complex coordinates go through :meth:`apply`.
+        """
+        if r.dtype.kind == "c":
+            return to_hermitian_basis(self.apply(from_hermitian_basis(r)))
+        n = self.dim
+        products = self._stacked @ from_hermitian_basis(r)
+        image = products[:n]
+        if self._jumps_dag is not None:
+            blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+            image = image + blocks @ self._jumps_dag
+        return np.ascontiguousarray(to_hermitian_basis(image).real)
 
 
 @cache
@@ -189,45 +211,6 @@ def from_hermitian_basis(r: np.ndarray) -> np.ndarray:
     """
     n = math.isqrt(r.shape[-1])
     return _pick_two(r, *_hermitian_tables(n)[1]).reshape(r.shape[:-1] + (n, n))
-
-
-class HermitianView:
-    """The generator of a :class:`LiouvilleOperator` on Hermitian-basis coordinates.
-
-    The coordinates are those of :func:`to_hermitian_basis`, whose dot
-    product is the Hilbert-Schmidt one.  :meth:`matvec` maps real or complex
-    coordinates to those of the image, of the same type.  Real coordinates
-    are those of an exactly Hermitian ``M``; one product stacks
-    ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by ``Kn x n``
-    product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the Hamiltonian
-    part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian part of
-    ``-2i X``, so the real part of the sum's coordinates, which are those of
-    its Hermitian part, gives the coordinates of the generator's image.
-    Complex coordinates go through :meth:`LiouvilleOperator.apply`.  Nothing
-    is validated.
-    """
-
-    #: Real, so :func:`~lindbladmv.linalg.expm_action` runs in the type of its vector.
-    dtype = np.dtype(float)
-
-    def __init__(self, operator: LiouvilleOperator):
-        n = operator.dim
-        self.dim, self.shape, self.norm_bound = n, (n * n, n * n), operator.norm_bound
-        self._apply = operator.apply
-        self._stacked = np.concatenate([-2j * operator.h_eff] + [s for s, _ in operator.jumps])
-        self._jumps_dag = np.concatenate([d for _, d in operator.jumps]) if operator.jumps else None
-
-    def matvec(self, r: np.ndarray) -> np.ndarray:
-        """The generator on coordinates ``r`` of length ``n^2``."""
-        if r.dtype.kind == "c":
-            return to_hermitian_basis(self._apply(from_hermitian_basis(r)))
-        n = self.dim
-        products = self._stacked @ from_hermitian_basis(r)
-        image = products[:n]
-        if self._jumps_dag is not None:
-            blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
-            image = image + blocks @ self._jumps_dag
-        return np.ascontiguousarray(to_hermitian_basis(image).real)
 
 
 @dataclass(frozen=True)

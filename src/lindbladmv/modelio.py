@@ -1,8 +1,9 @@
 """JSON file formats for models, states and observable lists.
 
-Complex scalars are encoded as two-element ``[re, im]`` arrays and matrices
-as nested row lists.  Floats go through JSON's shortest round-trip decimal
-encoding, so write -> parse reproduces the numbers bit-exactly.
+Complex scalars are encoded as two-element ``[re, im]`` arrays of numbers
+(``true`` and ``false`` are not numbers) and matrices as nested row lists.
+Floats go through JSON's shortest round-trip decimal encoding, so write ->
+parse reproduces the numbers bit-exactly.
 """
 
 from __future__ import annotations
@@ -29,11 +30,20 @@ def _check_label(label: str, where: str, error) -> None:
         raise error(f"{where}.label must not contain a comma, quote or line break")
 
 
+def open_for_writing(path, mode: str = "w"):
+    """``open(path, mode)`` for text; a path that cannot be opened (a missing directory, a
+    directory, no permission) raises :class:`ValidationError` naming it."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _save(path, dim: int, basis_labels, **fields) -> None:
     labels = list(basis_labels) if basis_labels is not None else [str(i) for i in range(dim)]
     if len(labels) != dim:
         raise ValidationError(f"{len(labels)} basis labels for dimension {dim}")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_for_writing(path) as handle:
         json.dump({"dim": dim, "basis_labels": labels, **fields}, handle, indent=1)
         handle.write("\n")
 
@@ -47,11 +57,7 @@ def _as_float(value) -> float:
 
 
 def _pair_to_complex(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ModelFormatError(f"{where}: complex scalars must be [re, im] pairs, got {value!r}")
     return complex(_as_float(value[0]), _as_float(value[1]))
 
@@ -97,11 +103,25 @@ def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
     return out
 
 
+def _has_boolean(text: str) -> bool:
+    """Whether ``text`` holds ``true`` or ``false``, in strings too.  Only each ``u`` and
+    ``f`` is looked at: no number holds them and no key but ``jumps``, so memchr scans."""
+    for letter, literal, offset in (("u", "true", 2), ("f", "false", 0)):
+        i = text.find(letter)
+        while i >= 0:
+            if i >= offset and text.startswith(literal, i - offset):
+                return True
+            i = text.find(letter, i + 1)
+    return False
+
+
 def _load_json(path) -> tuple[dict, int]:
     """The top-level object of a file and its ``dim``, after checking ``dim`` and the labels."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, object_hook=_matrix_hook)
+            text = handle.read()
+        # np.array would read a boolean among numbers as 1 or 0, so then every entry is walked
+        data = json.loads(text, object_hook=None if _has_boolean(text) else _matrix_hook)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert

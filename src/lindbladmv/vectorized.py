@@ -11,9 +11,10 @@ kernel works in coordinates on the orthonormal Hermitian basis, which
 gives for matrices.  :func:`hermitian_matrix` is ``U S U^H``, which
 :func:`propagate` steps for a superoperator and whose eigenvectors
 :func:`spectrum` returns; a model is propagated on its matrix-free
-:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`.  A Lindblad
-generator maps Hermitian matrices to Hermitian ones, so on that basis its
-matrix and the coordinates of a Hermitian state are real.
+:class:`~lindbladmv.model.LiouvilleOperator`, which applies to the same
+coordinates.  A Lindblad generator maps Hermitian matrices to Hermitian
+ones, so on that basis its matrix and the coordinates of a Hermitian state
+are real.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ def propagate(system: Superoperator | LindbladModel, rho0, times) -> list[Densit
     The route follows the type of ``system``.  A :class:`Superoperator` is
     stepped by the dense exponential of :func:`hermitian_matrix`; a
     :class:`LindbladModel` never forms the dense matrix: its matrix-free
-    generator on the Hermitian basis
-    (:attr:`~lindbladmv.model.LiouvilleOperator.hermitian`) goes through
-    :func:`~lindbladmv.linalg.expm_action`.  Either way
+    :attr:`~lindbladmv.model.LindbladModel.operator` goes through
+    :func:`~lindbladmv.linalg.expm_action` on the Hermitian basis.  Either way
     :func:`~lindbladmv.linalg.propagate_linear` steps the coordinates
     ``U rho0``, real when ``rho0`` equals its conjugate transpose exactly,
     and they are mapped back once.
@@ -147,7 +147,7 @@ def propagate(system: Superoperator | LindbladModel, rho0, times) -> list[Densit
     r0 = to_hermitian_basis(rho0)
     r0 = r0 if r0.imag.any() else r0.real
     if is_model:
-        generator, norm = system.operator.hermitian, system.operator.norm_bound
+        generator, norm = system.operator, system.operator.norm_bound
     else:
         generator, norm = hermitian_matrix(system), np.linalg.norm(system.matrix, 1)
     states = from_hermitian_basis(propagate_linear(generator, r0, times))

@@ -501,6 +501,47 @@ def test_bench_rejects_bad_options(tmp_path, capsys, options):
     assert not out_path.exists()
 
 
+def _every_command(paths):
+    """One command line per subcommand, each writing to ``--out``."""
+    model, state, obs = str(paths["model"]), str(paths["state"]), str(paths["obs"])
+    return {
+        "make-tls": ["make-tls", "--detuning", "0.3", "--drive", "0.7", "--decay", "1.0"],
+        "superop": ["superop", model],
+        "spectrum": ["spectrum", model],
+        "propagate": ["propagate", model, "--state", state, "--observables", obs, "--t1", "1"]
+        + ["--steps", "3"],
+        "degeneracy": ["degeneracy", model, "--cluster-tol", "1e-6"],
+        "bench": ["bench", "--dims", "2", "--methods", "full-expm", "--repeats", "1"],
+    }
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["make-tls", "superop", "spectrum", "propagate", "degeneracy", "bench"])
+def test_unwritable_out_exits_2_with_one_error_line(
+    tls_files, tmp_path, capsys, monkeypatch, command, where
+):
+    paths, _ = tls_files
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    timed = []
+    monkeypatch.setattr("lindbladmv.analysis._method_runner", lambda method: timed.append(method))
+    assert main(_every_command(paths)[command] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert captured.err == f"error: cannot write {out}: {reason}\n" and captured.out == ""
+    assert timed == []  # bench fails before it builds or times a cell
+
+
+def test_bench_leaves_an_existing_out_to_be_overwritten(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    out.write_text("old\n")
+    argv = ["bench", "--dims", "2", "--methods", "full-expm", "--out", str(out)]
+    assert main(argv + ["--repeats", "0"]) == 2
+    assert out.read_text() == "old\n"  # checked for writing, not truncated, by a rejected run
+    assert main(argv + ["--repeats", "1"]) == 0
+    assert out.read_text().startswith("n,method,")
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

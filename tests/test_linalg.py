@@ -8,6 +8,7 @@ from lindbladmv.errors import ConvergenceError, EigenSolverError, ExpOverflowErr
 from lindbladmv.linalg import (
     ACTION_RTOL,
     BREAKDOWN_RTOL,
+    _estimate,
     arnoldi_iteration,
     as_times,
     eig,
@@ -148,23 +149,23 @@ class TestArnoldiIteration:
         m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         m[np.tril_indices(12, -1)] *= 0.1  # far from normal
         v = rng.normal(size=12) + 1j * rng.normal(size=12)
-        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 7)
+        basis, hess, breakdown_at, _ = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 7)
         assert breakdown_at is None
         assert hess.shape == (8, 7)
         assert np.array_equal(basis[0], v / np.linalg.norm(v))
         check_arnoldi_relation(m.dot, basis, hess)
 
     def test_relation_on_liouville_operator(self, rng):
-        apply = random_model(rng, 3, n_jumps=2).operator.hermitian.matvec
+        apply = random_model(rng, 3, n_jumps=2).operator.matvec
         v = rng.normal(size=9) + 1j * rng.normal(size=9)
-        basis, hess, breakdown_at = arnoldi_iteration(apply, v / np.linalg.norm(v), 6)
+        basis, hess, breakdown_at, _ = arnoldi_iteration(apply, v / np.linalg.norm(v), 6)
         assert breakdown_at is None
         check_arnoldi_relation(apply, basis, hess)
 
     def test_eigenvector_start_breaks_down_at_zero(self, rng):
         m, s = block_matrix(rng, [[-0.02 + 1.0j]], 8)
         v = s[:, 0] / np.linalg.norm(s[:, 0])
-        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v, 5)
+        basis, hess, breakdown_at, _ = arnoldi_iteration(m.dot, v, 5)
         assert breakdown_at == 0
         assert basis.shape == (1, 8)
         assert hess.shape == (2, 1)
@@ -174,35 +175,43 @@ class TestArnoldiIteration:
     def test_two_dimensional_invariant_subspace_breaks_down_at_one(self, rng):
         m, s = block_matrix(rng, ROTATION, 8)
         v = s[:, :2] @ np.array([1.0, 0.5j])
-        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 5)
+        basis, hess, breakdown_at, _ = arnoldi_iteration(m.dot, v / np.linalg.norm(v), 5)
         assert breakdown_at == 1
         assert basis.shape == (2, 8)
         assert hess.shape == (3, 2)
         images = np.array([m @ b for b in basis])
         assert np.abs(images - hess[:2].T @ basis).max() <= 1e-12 * np.abs(images).max()
 
-    def test_stop_ends_the_process_after_a_step(self, rng):
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    def test_horizon_ends_the_process_at_the_first_passing_check(self, rng, monkeypatch):
+        import lindbladmv.linalg as linalg
+
+        m = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / np.sqrt(80.0)
+        v = rng.normal(size=40) + 1j * rng.normal(size=40)
         v /= np.linalg.norm(v)
+        full_basis, full_hess, _, estimate = arnoldi_iteration(m.dot, v, 35)
+        assert estimate is None  # no horizon, no estimate
         seen = []
-
-        def stop(hess):
-            seen.append(hess.shape)
-            return hess.shape[1] == 3
-
-        basis, hess, breakdown_at = arnoldi_iteration(m.dot, v, 7, stop)
-        assert seen == [(2, 1), (3, 2), (4, 3)]
-        assert breakdown_at is None
-        assert basis.shape == (4, 12) and hess.shape == (4, 3)
-        full_basis, full_hess, _ = arnoldi_iteration(m.dot, v, 7)
-        assert np.array_equal(basis, full_basis[:4]) and np.array_equal(hess, full_hess[:4, :3])
+        monkeypatch.setattr(linalg, "_estimate", lambda h, t: seen.append(h.shape) or _estimate(h, t))
+        basis, hess, breakdown_at, estimate = arnoldi_iteration(m.dot, v, 35, 1.0, 1e-12)
+        # read at 10 columns (failing) and at 20 (passing), where the process ends
+        assert seen == [(11, 10), (21, 20)]
+        assert _estimate(full_hess[:11, :10], 1.0) > 1e-12
+        assert estimate == _estimate(full_hess[:21, :20], 1.0) and estimate <= 1e-12
+        assert breakdown_at is None and basis.shape == (21, 40) and hess.shape == (21, 20)
+        assert np.array_equal(basis, full_basis[:21]) and np.array_equal(hess, full_hess[:21, :20])
         check_arnoldi_relation(m.dot, basis, hess)
-        arnoldi_iteration(m.dot, v, 3, lambda hess: seen.append(hess.shape))
-        assert seen[3:] == [(2, 1), (3, 2)]  # never after the last step
+        # a budget no check meets runs to k and returns the last estimate read
+        seen.clear()
+        basis, hess, _, estimate = arnoldi_iteration(m.dot, v, 35, 1.0, 0.0)
+        assert seen == [(11, 10), (21, 20), (31, 30)] and hess.shape == (36, 35)
+        assert estimate == _estimate(full_hess[:31, :30], 1.0)
+        # never at k itself: k = 20 reads only the check at 10
+        seen.clear()
+        basis, hess, _, estimate = arnoldi_iteration(m.dot, v, 20, 1.0, 1e-12)
+        assert seen == [(11, 10)] and hess.shape == (21, 20) and estimate > 1e-12
 
     def test_zero_operator_breaks_down_at_zero(self):
-        basis, hess, breakdown_at = arnoldi_iteration(lambda v: 0.0 * v, np.eye(4)[0], 3)
+        basis, hess, breakdown_at, _ = arnoldi_iteration(lambda v: 0.0 * v, np.eye(4)[0], 3)
         assert breakdown_at == 0
         assert np.array_equal(hess, np.zeros((2, 1)))
 
@@ -257,7 +266,7 @@ class TestExpmAction:
         model = random_model(rng, n, n_jumps=n_jumps)
         matrix = build_superoperator(model).matrix
         rho0 = random_density(rng, n).matrix
-        out = expm_action(model.operator.hermitian, to_hermitian_basis(rho0), times)
+        out = expm_action(model.operator, to_hermitian_basis(rho0), times)
         assert out.shape == (len(times), n * n)
         for t, y in zip(times, from_hermitian_basis(out)):
             expected = scipy.linalg.expm(t * matrix) @ vec(rho0)
@@ -410,7 +419,7 @@ class TestPropagateLinear:
         v = rng.normal(size=9) + 1j * rng.normal(size=9)
         times = [0.5, 0.5, 1.0, 4.0]
         dense = propagate_linear(matrix, v, times)
-        action = propagate_linear(model.operator.hermitian, v, times)
+        action = propagate_linear(model.operator, v, times)
         assert np.abs(action - dense).max() <= 1e-10 * np.linalg.norm(v)
 
     def test_uniform_grid_costs_one_exponential(self, rng, monkeypatch):
@@ -522,10 +531,10 @@ class TestRealArithmetic:
     def test_arnoldi_iteration_takes_the_dtype_of_its_start(self, rng):
         m = rng.normal(size=(8, 8))
         v0 = rng.normal(size=8)
-        basis, hess, _ = arnoldi_iteration(m.dot, v0 / np.linalg.norm(v0), 5)
+        basis, hess, _, _ = arnoldi_iteration(m.dot, v0 / np.linalg.norm(v0), 5)
         assert basis.dtype == float and hess.dtype == float
         check_arnoldi_relation(m.dot, basis, hess)
-        basis, hess, _ = arnoldi_iteration(m.dot, (v0 / np.linalg.norm(v0)).astype(complex), 5)
+        basis, hess, _, _ = arnoldi_iteration(m.dot, (v0 / np.linalg.norm(v0)).astype(complex), 5)
         assert np.iscomplexobj(basis) and np.iscomplexobj(hess)
 
 

@@ -275,12 +275,11 @@ def test_stacked_report_equals_validate_state_report(seed, n, kinds):
 def test_hermitian_view_matches_the_generator(seed, n, n_jumps):
     rng = np.random.default_rng(seed)
     operator = random_model(rng, n, n_jumps=n_jumps).operator
-    view = operator.hermitian
-    assert view.shape == (n * n, n * n) and view.dtype == float
+    assert operator.shape == (n * n, n * n) and operator.dtype == float
     r = rng.normal(size=n * n)
     m = from_hermitian_basis(r)
     assert np.array_equal(m, m.conj().T)
-    image = view.matvec(r)
+    image = operator.matvec(r)
     assert image.dtype == float
     expected = to_hermitian_basis(operator.apply(m)).real
     assert np.linalg.norm(image - expected) <= 1e-13 * operator.norm_bound * np.linalg.norm(m)
@@ -296,7 +295,7 @@ def test_hermitian_view_on_complex_coordinates(seed, n, n_jumps):
     rng = np.random.default_rng(seed)
     operator = random_model(rng, n, n_jumps=n_jumps).operator
     r = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
-    image = operator.hermitian.matvec(r)
+    image = operator.matvec(r)
     assert image.dtype == complex
     expected = to_hermitian_basis(operator.apply(from_hermitian_basis(r)))
     assert np.linalg.norm(image - expected) <= 1e-13 * operator.norm_bound * np.linalg.norm(r)

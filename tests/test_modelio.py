@@ -304,8 +304,19 @@ MATRIX_FIELDS = {
         ([[[0, 0]] * 3] * 3, ": expected 2 rows"),  # (3, 3, 2): square, but not dim x dim
         ([[[HUGE_INT, 0], [0, 0]], [[0, 0], [0, 0]]], ": contains non-finite entries"),
         ([[True, False], [False, True]], "[0][0]: complex scalars must be [re, im] pairs, got True"),
+        (
+            [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "[0][0]: complex scalars must be [re, im] pairs, got [True, 0]",
+        ),
+        (
+            [[[0.5, 0], [0, 0]], [[0, 0], [0.5, False]]],
+            "[1][1]: complex scalars must be [re, im] pairs, got [0.5, False]",
+        ),
     ],
-    ids=["ragged", "three-entry-pair", "string", "2x3", "3x3", "huge-int", "bare-bools"],
+    ids=[
+        "ragged", "three-entry-pair", "string", "2x3", "3x3", "huge-int", "bare-bools",
+        "true-entry", "false-among-floats",
+    ],
 )
 def test_malformed_matrix_message_in_every_field(tmp_path, field, matrix, message):
     """Whether or not the parser turned a matrix into an array, the message names the first fault."""
@@ -315,6 +326,36 @@ def test_malformed_matrix_message_in_every_field(tmp_path, field, matrix, messag
     with pytest.raises(ModelFormatError) as excinfo:
         loader(path)
     assert str(excinfo.value) == f"{path}: {where}{message}"
+
+
+@pytest.mark.parametrize("field", sorted(MATRIX_FIELDS))
+def test_boolean_entry_exits_2_naming_it(tmp_path, capsys, field):
+    _, document, where = MATRIX_FIELDS[field]
+    files = {name: tmp_path / f"{name}.json" for name in ("model", "state", "obs")}
+    save_model(files["model"], build_tls(TLSParams(0.3, 0.7, 1.0)))
+    save_state(files["state"], GROUND)
+    save_observables(files["obs"], [("Sz", SZ)])
+    target = files[{"state": "state", "observable": "obs"}.get(field, "model")]
+    target.write_text(json.dumps(document([[[0, 0], [0, 0]], [[0, 0], [True, 0]]])))
+    argv = ["propagate", str(files["model"]), "--state", str(files["state"])]
+    assert main(argv + ["--observables", str(files["obs"]), "--t1", "1", "--steps", "3"]) == 2
+    message = f"{target}: {where}[1][1]: complex scalars must be [re, im] pairs, got [True, 0]"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_label_with_true_loads_the_same_numbers(tmp_path, rng):
+    """A literal in a string sends the file through the entry-by-entry walk, which reads
+    every number as the array path does."""
+    matrices = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2)]
+    rows = [json_rows(m) for m in matrices]
+    rows[1][0][0][0] = 7  # an integer among floats
+    for name, labels in (("plain", ["a", "b"]), ("literal", ["true", "false b"])):
+        items = [{"label": label, "matrix": r} for label, r in zip(labels, rows)]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"dim": 3, "observables": items}))
+    plain, literal = (load_observables(tmp_path / f"{name}.json") for name in ("plain", "literal"))
+    assert [label for label, _ in literal] == ["true", "false b"]
+    for (_, got), (_, expected) in zip(literal, plain):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_loading_matrix_units_runs_no_garbage_collection(tmp_path):
@@ -361,6 +402,12 @@ def test_matrix_parse_is_bit_exact(tmp_path, data):
     rows = data.draw(st.lists(st.lists(pair, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"dim": dim, "matrix": rows}))
+    booleans = [(i, j) for i, row in enumerate(rows) for j, entry in enumerate(row) if bool in map(type, entry)]
+    if booleans:  # true and false are not numbers: the first entry that holds one is named
+        i, j = booleans[0]
+        with pytest.raises(ModelFormatError, match=rf"matrix\[{i}\]\[{j}\]: complex scalars"):
+            load_state(path)
+        return
     parsed = load_state(path)
     reference = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):

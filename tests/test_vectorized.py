@@ -107,7 +107,7 @@ class TestBuildSuperoperator:
             rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             direct = apply_generator(model, rho)
             via_matrix = unvec(superop.matrix @ vec(rho), n)
-            image = model.operator.hermitian.matvec(to_hermitian_basis(rho))
+            image = model.operator.matvec(to_hermitian_basis(rho))
             via_operator = from_hermitian_basis(image)
             scale = max(np.linalg.norm(direct), 1.0)
             assert np.linalg.norm(via_matrix - direct) <= 1e-12 * scale
