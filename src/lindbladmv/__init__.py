@@ -29,9 +29,7 @@ from .analysis import (
 from .arnoldi import (
     KrylovReduction,
     arnoldi_reduce,
-    project,
     propagate_reduced,
-    reconstruct,
     ritz_values,
 )
 from .errors import (
@@ -128,14 +126,12 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "observable_modes",
-    "project",
     "propagate",
     "propagate_expectations",
     "propagate_linear",
     "propagate_reduced",
     "random_density",
     "random_model",
-    "reconstruct",
     "ritz_values",
     "run_benchmark",
     "spectrum",

@@ -17,9 +17,9 @@ import scipy.linalg
 
 from .arnoldi import arnoldi_reduce, propagate_reduced
 from .errors import DefectiveSpectrumError, ValidationError
-from .linalg import _as_array, _is_number, as_square, eig
+from .linalg import _as_array, _is_number, as_square
 from .model import random_density, random_model
-from .vectorized import Superoperator, build_superoperator, hermitian_matrix, propagate, spectrum
+from .vectorized import Superoperator, build_superoperator, propagate, spectrum
 from .vectorized import to_hermitian_basis, unvec, vec
 
 #: Eigenvector condition number beyond which a spectrum counts as defective.
@@ -113,7 +113,7 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
     """Cluster the spectrum at scale ``cluster_tol`` and flag defectiveness."""
     if not (_is_number(cluster_tol) and 0.0 < cluster_tol < np.inf):
         raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol}")
-    dec = eig(hermitian_matrix(superop))
+    dec = spectrum(superop)
     values = dec.eigenvalues
     count = values.shape[0]
     parent = list(range(count))

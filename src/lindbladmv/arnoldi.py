@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, _as_array, _estimate, _is_number, arnoldi_iteration
-from .linalg import as_square, eig, hs_norm, propagate_linear
+from .linalg import EigenDecomposition, _estimate, _is_number, arnoldi_iteration
+from .linalg import as_square, eig, propagate_linear
 from .model import LindbladModel, from_hermitian_basis, to_hermitian_basis
 
 
@@ -41,7 +41,6 @@ class KrylovReduction:
     coordinates: np.ndarray
     hessenberg: np.ndarray
     breakdown_at: int | None
-    model_dim: int
     beta: float
     estimate: float | None
 
@@ -88,7 +87,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
     if horizon is not None and not (_is_number(horizon) and 0.0 <= horizon < np.inf):
         raise ValidationError(f"horizon must be a finite number >= 0, got {horizon!r}")
     rho0 = as_square(rho0, "rho0", n)
-    beta = hs_norm(rho0)
+    beta = float(np.linalg.norm(rho0))
     if beta == 0.0:
         raise ValidationError("initial state is zero")
 
@@ -102,27 +101,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
     elif horizon is not None and size == krylov_dim + 1:  # the cap stopped the process first
         estimate = _estimate(hess, horizon)
     breakdown_at = None if breakdown == krylov_dim else breakdown
-    return KrylovReduction(rows[:size], hess[:size, :size], breakdown_at, n, beta, estimate)
-
-
-def project(reduction: KrylovReduction, rho) -> np.ndarray:
-    """Coefficients of ``rho`` on the reduction basis: the HS projections, ``conj(V) U rho``."""
-    rho = as_square(rho, "rho", reduction.model_dim)
-    return reduction.coordinates.conj() @ to_hermitian_basis(rho)
-
-
-def reconstruct(reduction: KrylovReduction, coefficients) -> np.ndarray:
-    """Linear combination of the basis matrices with the given coefficients.
-
-    ``coefficients`` is one vector of length ``reduction.size``, or a
-    ``(T, size)`` array whose rows give a ``(T, n, n)`` stack of matrices.
-    """
-    coefficients = _as_array(coefficients, "coefficients")
-    if coefficients.ndim not in (1, 2) or coefficients.shape[-1] != reduction.size:
-        raise ValidationError(
-            f"coefficients of shape {coefficients.shape} for a basis of size {reduction.size}"
-        )
-    return from_hermitian_basis(coefficients @ reduction.coordinates)
+    return KrylovReduction(rows[:size], hess[:size, :size], breakdown_at, beta, estimate)
 
 
 def propagate_reduced(reduction: KrylovReduction, times) -> np.ndarray:
@@ -136,7 +115,8 @@ def propagate_reduced(reduction: KrylovReduction, times) -> np.ndarray:
     """
     y0 = np.zeros(reduction.size, dtype=reduction.hessenberg.dtype)
     y0[0] = reduction.beta
-    return reconstruct(reduction, propagate_linear(reduction.hessenberg, y0, times))
+    coefficients = propagate_linear(reduction.hessenberg, y0, times)
+    return from_hermitian_basis(coefficients @ reduction.coordinates)
 
 
 def ritz_values(reduction: KrylovReduction) -> EigenDecomposition:

@@ -87,15 +87,13 @@ def cmd_spectrum(args) -> int:
             raise ValidationError("--method arnoldi requires --state")
         rho0 = validate_state(modelio.load_state(args.state))
         values = eigvals(arnoldi.arnoldi_reduce(model, rho0, krylov_dim).hessenberg)
-    elif args.method == "heisenberg":
+    else:  # heisenberg
         if not args.basis:
             raise ValidationError("--method heisenberg requires --basis")
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
         rep = heisenberg.close_set(model, ops)
         # conjugate so all three methods print directly comparable values (+ 0j: no -0.0)
         values = np.conj(eigvals(rep.generator)) + 0j
-    else:
-        raise ValidationError(f"unknown method {args.method!r}")
     values = values[np.lexsort((values.imag, values.real))]  # the conjugate reverses each pair
     _emit("\n".join(_csv_lines(np.column_stack([values.real, values.imag]))) + "\n", args.out)
     return EXIT_OK
@@ -105,11 +103,11 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
     """Observable values at every time: row ``i`` of the result belongs to ``times[i]``."""
     labels = [label for label, _ in observables]
     ops = np.stack([matrix for _, matrix in observables])
-    if method in ("vec", "expm-action"):
-        system = vectorized.build_superoperator(model) if method == "vec" else model
-        states = vectorized.propagate(system, rho0, times)
-        rows = heisenberg.expectations(ops, np.stack([state.matrix for state in states]))
-    elif method == "arnoldi":
+    if method == "heisenberg":
+        rep = heisenberg.close_set(model, ops)
+        initial = heisenberg.expectations(rep.basis, rho0)
+        return labels, heisenberg.propagate_expectations(rep, initial, times)
+    if method == "arnoldi":
         reduction = arnoldi.arnoldi_reduce(model, rho0, krylov_dim, times[-1])
         if not reduction.estimate <= ACTION_RTOL:  # a NaN estimate warns too
             sys.stderr.write(
@@ -117,14 +115,11 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
                 f"of {reduction.estimate:.3e} (relative to the state norm) at t = {times[-1]:g}, "
                 f"above ACTION_RTOL = {ACTION_RTOL:.0e}; raise --krylov-dim\n"
             )
-        rows = heisenberg.expectations(ops, arnoldi.propagate_reduced(reduction, times))
-    elif method == "heisenberg":
-        rep = heisenberg.close_set(model, ops)
-        initial = heisenberg.expectations(rep.basis, rho0)
-        rows = heisenberg.propagate_expectations(rep, initial, times)
-    else:
-        raise ValidationError(f"unknown propagation method {method!r}")
-    return labels, rows
+        states = arnoldi.propagate_reduced(reduction, times)
+    else:  # vec or expm-action
+        system = vectorized.build_superoperator(model) if method == "vec" else model
+        states = np.stack([state.matrix for state in vectorized.propagate(system, rho0, times)])
+    return labels, heisenberg.expectations(ops, states)
 
 
 def cmd_propagate(args) -> int:

@@ -116,7 +116,8 @@ def _has_boolean(text: str) -> bool:
 
 
 def _load_json(path) -> tuple[dict, int]:
-    """The top-level object of a file and its ``dim``, after checking ``dim`` and the labels."""
+    """The top-level object of a file and its ``dim``, after checking ``dim`` and, when the
+    file gives them, the ``basis_labels``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -134,10 +135,8 @@ def _load_json(path) -> tuple[dict, int]:
     if not _is_number(dim, numbers.Integral) or dim < 1:
         raise ModelFormatError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
     labels = data.get("basis_labels")
-    if labels is None:
-        labels = [str(i) for i in range(dim)]
-    if not isinstance(labels, list) or len(labels) != dim or not all(
-        isinstance(s, str) for s in labels
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == dim and all(isinstance(s, str) for s in labels)
     ):
         raise ModelFormatError(f"{path}: 'basis_labels' must be {dim} strings")
     return data, dim

@@ -171,8 +171,8 @@ class TestDetectDegeneracy:
         values[::2] += 0.3 * cluster_tol * rng.uniform(-1.0, 1.0, count // 2)
         values = values[np.lexsort((values.imag, values.real))]
         fake = EigenDecomposition(values, np.eye(count), np.zeros(count), 1.0)
-        monkeypatch.setattr(analysis, "eig", lambda matrix: fake)
-        superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))  # the patched eig ignores it
+        monkeypatch.setattr(analysis, "spectrum", lambda superop: fake)
+        superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))  # the patch ignores it
         report = detect_degeneracy(superop, cluster_tol)
         got = [(c.center, c.members, c.diameter) for c in report.clusters]
         assert got == clusters_by_pairwise_loop(values, cluster_tol)

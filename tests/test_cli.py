@@ -139,6 +139,12 @@ def test_spectrum_arnoldi_requires_state(tls_files, capsys):
     assert "--state" in capsys.readouterr().err
 
 
+def test_spectrum_heisenberg_requires_basis(tls_files, capsys):
+    paths, _ = tls_files
+    assert main(["spectrum", str(paths["model"]), "--method", "heisenberg"]) == 2
+    assert "--basis" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "matrix",
     [np.array([[0.5, 0.5], [0.0, 0.5]]), np.diag([1.0, 1.0]), np.diag([1.5, -0.5])],
@@ -250,8 +256,10 @@ def test_propagate_single_initial_row(tls_files, capsys):
         (["--t1", "inf", "--steps", "3"], "error: --t0 and --t1 must be finite"),
         (["--t0=-inf", "--t1", "1", "--steps", "3"], "error: --t0 and --t1 must be finite"),
         (["--t0=inf", "--t1", "inf", "--steps", "3"], "error: --t0 and --t1 must be finite"),
+        (["--t1", "1", "--steps", "0"], "error: --steps must be >= 1"),
+        (["--t0", "1", "--t1", "0.5", "--steps", "3"], "error: --t1 must be >= --t0"),
     ],
-    ids=["steps-1", "t1-inf", "t0-minus-inf", "both-inf"],
+    ids=["steps-1", "t1-inf", "t0-minus-inf", "both-inf", "steps-0", "t1-before-t0"],
 )
 def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, message):
     # a bad grid is one error line, with no numpy warning before it

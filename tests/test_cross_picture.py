@@ -33,6 +33,15 @@ seeded draws of this strategy, half of them at its extremes (``H`` scale 1
 and 30, rates 1e-3 and 1, horizons 0.1 and 20), the largest excess of a
 route over the truncation term was ``19.4 eps (1 + nu t) ||rho0||_F``, at
 ``n = 2``.
+
+``propagate`` holds the states of ``vec`` and ``expm-action`` to the
+density-matrix checks of ``state_violations``, with the trace budget
+``TRACE_RTOL + eps nu t`` of the matrix-free route.  The ``arnoldi`` states
+and the ``heisenberg`` matrix-unit states are held to the same checks here.
+Over 7500 seeded draws of this strategy, half of them at its extremes, none
+failed; the largest trace error was ``27.5 eps (1 + nu t)`` for ``arnoldi``
+and ``2.6 eps (1 + nu t)`` for ``heisenberg``.  The ``eps nu t`` term alone
+does not cover that; ``TRACE_RTOL`` carries the margin.
 """
 
 import numpy as np
@@ -42,7 +51,7 @@ from hypothesis import strategies as st
 from lindbladmv.arnoldi import arnoldi_reduce, propagate_reduced
 from lindbladmv.heisenberg import close_set, expectations, propagate_expectations
 from lindbladmv.linalg import ACTION_RTOL, EPS
-from lindbladmv.model import LindbladModel, random_density
+from lindbladmv.model import TRACE_RTOL, LindbladModel, random_density, state_violations
 from lindbladmv.vectorized import build_superoperator, propagate
 
 #: Round-off constant of the bound, derived in the module docstring.
@@ -85,3 +94,7 @@ def test_four_routes_agree_at_every_time(seed, n, rates, h_scale, horizon):
     bound = ACTION_RTOL * norm0 + C_ROUNDOFF * EPS * (1.0 + nu * times) * norm0
     for route in (action, reduced, heisenberg):
         assert (np.linalg.norm(route - reference, axis=(1, 2)) <= bound).all()
+    # the arnoldi and heisenberg states, which propagate does not make, pass its state checks too
+    budget = TRACE_RTOL + EPS * nu * times
+    for states in (reduced, heisenberg):
+        assert state_violations(states, budget) == {}

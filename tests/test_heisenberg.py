@@ -76,6 +76,10 @@ class TestCloseSet:
         with pytest.raises(DependentBasisError):
             close_set(model, [SX, SX + 1e-15 * SY])
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValidationError, match="at least one operator"):
+            close_set(build_tls(TLSParams(0.3, 0.7, 1.0)), np.zeros((0, 2, 2)))
+
     def test_identity_row_is_zero(self, rng):
         model = random_model(rng, 2, n_jumps=2)
         rep = close_set(model, pauli_set())

@@ -24,12 +24,10 @@ from lindbladmv import (
     hs_inner,
     hs_norm,
     observable_modes,
-    project,
     propagate,
     propagate_expectations,
     propagate_linear,
     propagate_reduced,
-    reconstruct,
     unvec,
     validate_state,
     vec,
@@ -62,8 +60,6 @@ ENTRY_POINTS = {
     "close_set": lambda bad: close_set(MODEL, bad),
     "expectations": lambda bad: expectations([SZ], bad),
     "duality_check": lambda bad: duality_check(MODEL, bad, SZ),
-    "project": lambda bad: project(REDUCTION, bad),
-    "reconstruct": lambda bad: reconstruct(REDUCTION, bad),
     "observable_modes": lambda bad: observable_modes(SUPEROP, GROUND, bad),
     "Superoperator": lambda bad: Superoperator(2, bad),
     "propagate-times": lambda bad: propagate(MODEL, GROUND, bad),

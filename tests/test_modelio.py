@@ -1,5 +1,7 @@
 import gc
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +197,8 @@ ZERO_2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 LOWERING_2 = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
 HUGE_INT = 10**400
 
-# (model file text, field the error must name); each crashed with a traceback before
+# (model file text, field the error must name); the first seven each crashed with a
+# traceback before, the last four are the structural checks of the file
 MALFORMED_MODELS = {
     "huge-entry": (
         json.dumps({"dim": 2, "hamiltonian": [[[HUGE_INT, 0], [0, 0]], [[0, 0], [0, 0]]]}),
@@ -216,6 +219,16 @@ MALFORMED_MODELS = {
     ),
     "int-jumps": (json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": 5}), "'jumps'"),
     "long-int": ('{"dim": 1, "hamiltonian": [[[' + "1" * 5000 + ", 0]]]}", ""),
+    "top-level-list": ("[]", "top level must be an object"),
+    "no-dim": (json.dumps({"hamiltonian": ZERO_2}), "missing 'dim'"),
+    "jump-not-object": (
+        json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": [LOWERING_2]}),
+        "jumps[0] must be an object",
+    ),
+    "jump-without-matrix": (
+        json.dumps({"dim": 2, "hamiltonian": ZERO_2, "jumps": [{"rate": 1.0}]}),
+        "jumps[0] is missing 'matrix'",
+    ),
 }
 
 
@@ -229,6 +242,75 @@ def test_malformed_model_is_a_format_error(tmp_path, capsys, case):
     assert field in str(excinfo.value)
     assert main(["spectrum", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+# (observables file object, what the error must name)
+MALFORMED_OBSERVABLES = {
+    "no-list": ({"dim": 2}, "missing 'observables' list"),
+    "object-not-list": ({"dim": 2, "observables": {"A": ZERO_2}}, "missing 'observables' list"),
+    "item-not-object": ({"dim": 2, "observables": [ZERO_2]}, "observables[0] must be an object"),
+    "item-without-matrix": (
+        {"dim": 2, "observables": [{"label": "A"}]},
+        "observables[0] must be an object with 'matrix'",
+    ),
+    "label-not-string": (
+        {"dim": 2, "observables": [{"label": 5, "matrix": ZERO_2}]},
+        "observables[0].label must be a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OBSERVABLES))
+def test_malformed_observables_file_is_a_format_error(tmp_path, case):
+    data, message = MALFORMED_OBSERVABLES[case]
+    path = tmp_path / "obs.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_observables(path)
+
+
+@pytest.mark.parametrize(
+    "save, item",
+    [
+        (save_model, build_tls(TLSParams(0.3, 0.7, 1.0))),
+        (save_state, GROUND),
+        (save_observables, [("Sz", SZ)]),
+    ],
+    ids=["model", "state", "observables"],
+)
+def test_save_rejects_a_wrong_number_of_basis_labels(tmp_path, save, item):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValidationError, match="1 basis labels for dimension 2"):
+        save(path, item, basis_labels=["only-one"])
+    assert not path.exists()
+
+
+# a file of dimension 10**6 without basis_labels whose matrix has one row
+HUGE_DIM_FILES = {
+    "model": (load_model, {"dim": 10**6, "hamiltonian": [[[0, 0]]]}),
+    "state": (load_state, {"dim": 10**6, "matrix": [[[0, 0]]]}),
+    "observables": (
+        load_observables,
+        {"dim": 10**6, "observables": [{"label": "A", "matrix": [[[0, 0]]]}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_DIM_FILES))
+def test_a_large_dim_is_rejected_without_allocating_for_it(tmp_path, kind):
+    """Labels are checked only when the file gives them, so nothing of size ``dim`` is
+    built before the one-row matrix is rejected."""
+    load, data = HUGE_DIM_FILES[kind]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="expected 1000000 rows"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("method", ["vec", "expm-action", "arnoldi", "heisenberg"])

@@ -327,6 +327,13 @@ class TestPropagate:
         assert runs[0][1].shape[1] <= 60  # matvecs
         assert len(exponentials) <= 8
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["superoperator", "model"])
+    def test_rejects_a_state_of_another_dimension(self, rng, dense):
+        model = random_model(rng, 3)
+        system = build_superoperator(model) if dense else model
+        with pytest.raises(ValidationError, match="does not match dim 3"):
+            propagate(system, random_density(rng, 2), [0.0])
+
     def test_rejects_bad_times(self, rng):
         superop = build_superoperator(random_model(rng, 2))
         rho0 = random_density(rng, 2)
