@@ -69,27 +69,23 @@ def _needs_method(args, dest: str, method: str) -> None:
 
 
 def _krylov_dim(args, model) -> int:
-    """``--krylov-dim``, which only ``--method arnoldi`` reads, or its default ``n^2 - 1``:
-    the size of ``spectrum``'s reduction and the cap of ``propagate``'s."""
-    _needs_method(args, "krylov_dim", "arnoldi")
+    """``--krylov-dim`` or ``n^2 - 1``: ``spectrum``'s reduction size, ``propagate``'s cap."""
     return model.dim**2 - 1 if args.krylov_dim is None else args.krylov_dim
 
 
 def cmd_spectrum(args) -> int:
+    _needs_method(args, "krylov_dim", "arnoldi")
+    for dest, method in (("state", "arnoldi"), ("basis", "heisenberg")):  # each file, one method
+        _needs_method(args, dest, method)
+        if args.method == method and not getattr(args, dest):
+            raise ValidationError(f"--method {method} requires --{dest}")
     model = modelio.load_model(args.model)
-    krylov_dim = _krylov_dim(args, model)
-    _needs_method(args, "state", "arnoldi")
-    _needs_method(args, "basis", "heisenberg")
     if args.method == "vec":
         values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":
-        if not args.state:
-            raise ValidationError("--method arnoldi requires --state")
         rho0 = validate_state(modelio.load_state(args.state))
-        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, krylov_dim).hessenberg)
+        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, _krylov_dim(args, model)).hessenberg)
     else:  # heisenberg
-        if not args.basis:
-            raise ValidationError("--method heisenberg requires --basis")
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
         rep = heisenberg.close_set(model, ops)
         # conjugate so all three methods print directly comparable values (+ 0j: no -0.0)
@@ -123,9 +119,6 @@ def _trajectory_rows(model, rho0, observables, times, method, krylov_dim):
 
 
 def cmd_propagate(args) -> int:
-    model = modelio.load_model(args.model)
-    rho0 = validate_state(modelio.load_state(args.state))
-    observables = modelio.load_observables(args.observables)
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     if not np.isfinite([args.t0, args.t1]).all():
@@ -134,6 +127,10 @@ def cmd_propagate(args) -> int:
         raise ValidationError(f"--t1 must be >= --t0, got {args.t0} > {args.t1}")
     if args.steps == 1 and args.t1 != args.t0:
         raise ValidationError(f"--steps 1 needs --t1 equal to --t0, got {args.t1} != {args.t0}")
+    _needs_method(args, "krylov_dim", "arnoldi")
+    model = modelio.load_model(args.model)
+    rho0 = validate_state(modelio.load_state(args.state))
+    observables = modelio.load_observables(args.observables)
     times = np.linspace(args.t0, args.t1, args.steps)
     krylov_dim = _krylov_dim(args, model)
     labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, krylov_dim)

@@ -44,6 +44,14 @@ def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _as_float(x) -> float:
+    """``float(x)`` of a number, with an int past the float range taken as an infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf if x > 0 else -np.inf
+
+
 def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     """``a`` as an array of finite ``dtype`` entries: the one check of every input array.
 
@@ -51,18 +59,24 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     1 for a vector, 2 for a square matrix, 3 for a ``(k, n, n)`` stack.  The
     last axis, and for a matrix or stack the one before it, then has a
     length of at least 1, and of ``n`` when given.  ``dtype=None`` keeps a
-    real floating ``a`` float and makes anything else complex.  Ragged,
-    non-numeric, misshapen and non-finite input all raise
-    :class:`ValidationError`, and so do booleans for ``dtype=float``.
+    real floating ``a`` float and makes anything else complex.  Entries are
+    numbers as :func:`_is_number` has them: booleans, text, complex entries
+    for ``dtype=float`` and ints past the float range raise
+    :class:`ValidationError`, and so do ragged, misshapen and non-finite input.
     """
     try:
-        if dtype is None:
-            dtype = float if np.asarray(a).dtype.kind == "f" else complex
-        arr = np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError) as exc:  # ragged, non-numeric, complex as float
-        raise ValidationError(f"{name} must be numeric with one shape") from exc
-    if dtype is float and np.asarray(a).dtype == bool:  # True is no time
-        raise ValidationError(f"{name} must be numbers, not booleans")
+        arr = np.asarray(a)
+        kind = arr.dtype.kind
+        if kind == "b":  # True is no number, and no time
+            raise ValidationError(f"{name} must be numbers, not booleans")
+        if not (kind in "iuf" or kind == "c" and dtype is not float or kind == "O" and all(
+            _is_number(x, numbers.Number) for x in arr.flat  # ints past int64, mixed objects
+        )):
+            raise TypeError(f"entries of kind {kind!r}")
+        arr = arr.astype(dtype or (float if kind == "f" else complex), copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # text, complex as float, ragged
+        real = "real " if dtype is float else ""
+        raise ValidationError(f"{name} must be {real}numbers with one shape") from exc
     if ndims is not None:
         last = arr.shape[-1] if arr.ndim else 0
         square = arr.ndim < 2 or arr.shape[-2] == last
@@ -154,13 +168,16 @@ def arnoldi_iteration(apply, v0: np.ndarray, k: int, horizon=None, budget=ACTION
 
 
 def expm(m, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(m * t)``, real for a real floating ``m``.
+    """Matrix exponential ``exp(m * t)`` for a real scalar ``t``, real for a real floating ``m``.
 
     Uses scaling-and-squaring with a Pade core, with the order chosen from
     the scaled norm.  Overflow raises :class:`ExpOverflowError`, never
     silently saturates.
     """
     m = as_square(m, "m", dtype=None)
+    t = _as_array(t, "t", dtype=float)
+    if t.ndim:
+        raise ValidationError(f"t must be a scalar, got shape {t.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         result = scipy.linalg.expm(m * t)
     if not np.isfinite(result).all():
@@ -207,29 +224,19 @@ def _stepped(a, y, times, stop=None) -> np.ndarray:
     return out
 
 
-def _augmented(hess: np.ndarray) -> np.ndarray:
-    """``[[H_k, 0], [h_{k+1,k} e_k^T, 0]]`` from a ``(k + 1, k)`` Arnoldi ``hess``.
+def _krylov_columns(hess: np.ndarray, taus, stop=None) -> np.ndarray:
+    """Column 0 of ``exp(tau A)``, one row per ``tau``, for ``A = [[H_k, 0], [h_{k+1,k} e_k^T, 0]]``
+    from a ``(k + 1, k)`` Arnoldi ``hess``.
 
-    Column 0 of ``exp(tau A)`` for this ``A`` is ``exp(tau H_k) e_1`` followed
-    by ``h_{k+1,k} [tau phi_1(tau H_k)]_{k,1}``, with ``phi_1(z) = (e^z - 1) / z``:
-    the coefficients of the Krylov approximation and, times ``beta``, its
-    error estimate.  Both step together, ``exp((s + tau) A) = exp(tau A) exp(s A)``.
+    That column is ``exp(tau H_k) e_1`` followed by ``h_{k+1,k} [tau phi_1(tau H_k)]_{k,1}``,
+    with ``phi_1(z) = (e^z - 1) / z``: the Krylov coefficients from a unit start and its
+    error estimate.  Both step together, ``exp((s + tau) A) = exp(tau A) exp(s A)``, by
+    :func:`_stepped`, which passes ``stop`` each time and its row.
     """
     k = hess.shape[1]
-    out = np.zeros((k + 1, k + 1), dtype=hess.dtype)
-    out[:, :k] = hess
-    return out
-
-
-def _krylov_columns(hess: np.ndarray, taus, stop=None) -> np.ndarray:
-    """Column 0 of ``exp(tau A)`` for the :func:`_augmented` ``A`` of ``hess``, one row per ``tau``.
-
-    Stepped by :func:`_stepped`, which passes ``stop`` each time and its
-    row: the first ``k`` entries of a row are the Krylov coefficients from a
-    unit start, the last one its error estimate.
-    """
-    augmented = _augmented(hess)
-    return _stepped(augmented, np.eye(1, len(augmented), dtype=hess.dtype)[0], taus, stop)
+    augmented = np.zeros((k + 1, k + 1), dtype=hess.dtype)
+    augmented[:, :k] = hess
+    return _stepped(augmented, np.eye(1, k + 1, dtype=hess.dtype)[0], taus, stop)
 
 
 def _estimate(hess: np.ndarray, horizon: float) -> float:

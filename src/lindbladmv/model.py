@@ -16,7 +16,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import StateValidationError, ValidationError
-from .linalg import as_square
+from .linalg import _as_float, _is_number, as_square
 
 #: Relative tolerance for Hermiticity of the Hamiltonian and of states.
 HERMITICITY_RTOL = 1e-12
@@ -57,12 +57,13 @@ class LindbladModel:
                 f"hamiltonian is not Hermitian (defect {defect:.3e})"
             )
         normalized = []
-        for k, (rate, op) in enumerate(self.jumps):
+        for k, jump in enumerate(self.jumps):
             try:
-                rate = float(rate)
-            except (OverflowError, TypeError, ValueError):  # huge int, str, complex
-                rate = np.nan
-            if not 0.0 <= rate < np.inf:
+                rate, op = jump
+            except (TypeError, ValueError):
+                raise ValidationError(f"jump {k} must be a (rate, operator) pair") from None
+            rate = _as_float(rate) if _is_number(rate) else repr(rate)  # an int past floats is inf
+            if not (_is_number(rate) and 0.0 <= rate < np.inf):  # NaN fails too
                 raise ValidationError(f"jump rate {k} must be finite and non-negative: {rate}")
             normalized.append((rate, as_square(op, f"jump operator {k}", h.shape[0])))
         object.__setattr__(self, "hamiltonian", h)

@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 from .errors import ModelFormatError, ValidationError
-from .linalg import _as_array, _is_number, as_square
+from .linalg import _as_array, _as_float, _is_number, as_square
 from .model import LindbladModel
 
 
@@ -48,14 +48,6 @@ def _save(path, dim: int, basis_labels, **fields) -> None:
         handle.write("\n")
 
 
-def _as_float(value) -> float:
-    """``float(value)``, with an int beyond the float range taken as an infinity."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _pair_to_complex(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ModelFormatError(f"{where}: complex scalars must be [re, im] pairs, got {value!r}")
@@ -76,7 +68,7 @@ def _matrix_hook(obj: dict) -> dict:
                 pairs = np.array(obj[key])
             except ValueError:  # ragged nesting
                 continue
-            if pairs.dtype.kind in "biuf" and pairs.ndim == 3 and pairs.shape[1:] == (len(pairs), 2):
+            if pairs.dtype.kind in "iuf" and pairs.ndim == 3 and pairs.shape[1:] == (len(pairs), 2):
                 obj[key] = pairs
     return obj
 
@@ -157,7 +149,7 @@ def load_model(path) -> LindbladModel:
         if "rate" not in jump:
             raise ModelFormatError(f"{path}: jumps[{k}] is missing 'rate'")
         rate = jump["rate"]
-        rate = _as_float(rate) if isinstance(rate, (int, float)) and not isinstance(rate, bool) else math.nan
+        rate = _as_float(rate) if _is_number(rate) else math.nan
         if not math.isfinite(rate):
             raise ModelFormatError(f"{path}: jumps[{k}].rate must be a finite number")
         if "matrix" not in jump:

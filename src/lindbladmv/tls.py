@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import _is_number
 from .model import LindbladModel
 
 SX = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -37,7 +38,9 @@ class TLSParams:
     decay: float
 
     def __post_init__(self):
-        if self.decay < 0.0:
+        if not all(map(_is_number, (self.detuning, self.drive, self.decay))):
+            raise ValidationError(f"TLS parameters must be real numbers, got {self!r}")
+        if not self.decay >= 0.0:  # NaN fails too
             raise ValidationError(f"decay rate must be non-negative, got {self.decay}")
 
 

@@ -275,6 +275,22 @@ def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, mes
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["propagate", "missing.json", "--state", "s.json", "--observables", "o.json",
+          "--t1", "1", "--steps", "0"], "--steps"),
+        (["spectrum", "missing.json", "--method", "vec", "--basis", "b.json"], "--basis"),
+    ],
+    ids=["propagate-steps", "spectrum-basis"],
+)
+def test_options_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, option):
+    monkeypatch.chdir(tmp_path)  # none of the files exists
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and "missing.json" not in err
+
+
 def test_heisenberg_identity_reads_exactly_one(tmp_path, capsys):
     model, state, basis = (tmp_path / name for name in ("m.json", "s.json", "b.json"))
     assert main(["make-tls", "--detuning", "1.0", "--drive", "2.0", "--decay", "1.0",

@@ -1,7 +1,8 @@
 """Ragged or non-numeric arrays raise ValidationError at every public entry point.
 
 One checker converts every input array, so numpy's own ``ValueError`` for a
-ragged nesting or an unparseable string never escapes.
+ragged nesting or an unparseable string never escapes, and numeric strings,
+complex times and ints past the float range are not taken as numbers.
 """
 
 import numpy as np
@@ -73,7 +74,12 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [[[0.5, 0], [0]], "ab"], ids=["ragged", "non-numeric"])
+@pytest.mark.parametrize(
+    "bad",
+    [[[0.5, 0], [0]], "ab", [["1", "0"], ["0", "1"]], np.array([0.0, 0.5 + 0.5j]), [0.0, 10**400],
+     [0.0, True, 10**20]],
+    ids=["ragged", "non-numeric", "numeric-strings", "complex-grid", "huge-int-grid", "mixed-objects"],
+)
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS), ids=list(ENTRY_POINTS))
 def test_ragged_or_non_numeric_input_is_a_validation_error(entry, bad):
     with pytest.raises(ValidationError):

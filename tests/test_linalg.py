@@ -109,6 +109,11 @@ class TestExpm:
         with pytest.raises(ExpOverflowError):
             expm(np.array([[1e4]]), 1e3)
 
+    def test_t_must_be_a_finite_real_scalar(self):
+        for t in (np.nan, np.inf, "2", 1j, [1.0, 2.0]):
+            with pytest.raises(ValidationError):
+                expm(np.eye(2), t)
+
 
 def check_arnoldi_relation(apply, basis, hess):
     """``A V_k = V_{k+1} H``, orthonormal rows, real non-negative subdiagonal."""
@@ -453,6 +458,7 @@ class TestPropagateLinear:
                 propagate_linear(np.eye(2), np.ones(2), times)
         with pytest.raises(ValidationError):
             propagate_linear(np.eye(2), np.ones(3), [1.0])
+        assert as_times([0, 10**20]).tolist() == [0.0, 1e20]  # an int past int64 is still a time
 
     @pytest.mark.parametrize(
         "times", [True, np.bool_(False), [True], np.array([False, True])], ids=repr
@@ -463,6 +469,7 @@ class TestPropagateLinear:
             lambda: as_times(times),
             lambda: propagate_linear(np.eye(2), np.ones(2), times),
             lambda: expm_action(np.eye(2), np.ones(2), times),
+            lambda: expm(np.eye(2), times),
             lambda: propagate(build_tls(TLSParams(0.3, 0.7, 1.0)), GROUND, times),
         ):
             with pytest.raises(ValidationError, match="booleans"):

@@ -46,11 +46,18 @@ class TestModelConstruction:
             pytest.param(10**400, id="huge-int"),
             pytest.param("x", id="str"),
             pytest.param(1j, id="complex"),
+            pytest.param(np.complex128(0.5 + 0.5j), id="numpy-complex"),
+            pytest.param("0.5", id="numeric-str"),
+            pytest.param(True, id="bool"),
         ],
     )
     def test_non_finite_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="jump rate 1 must be finite"):
             LindbladModel(np.eye(2), ((1.0, np.eye(2)), (rate, np.eye(2))))
+
+    def test_jump_that_is_not_a_pair_rejected(self):
+        with pytest.raises(ValidationError, match="jump 0 must be a"):
+            LindbladModel(np.zeros((3, 3)), (np.eye(3),))
 
     def test_jump_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -67,8 +74,9 @@ class TestModelConstruction:
         assert np.allclose(SZ @ SX - SX @ SZ, 1j * SY, atol=1e-15)
 
     def test_negative_decay_rejected(self):
-        with pytest.raises(ValidationError):
-            TLSParams(0.0, 0.0, -1.0)
+        for decay in (-1.0, np.nan, "x"):
+            with pytest.raises(ValidationError):
+                TLSParams(0.0, 0.0, decay)
 
 
 class TestApplyGenerator:

@@ -107,7 +107,8 @@ def test_state_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "matrix",
     [np.array(1.0), np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 2, 2)),
-     np.zeros((0, 0)), np.array([[np.inf, 0.0], [0.0, 1.0]]), [[0.5, 0.0], [0.0]], "ab"],
+     np.zeros((0, 0)), np.array([[np.inf, 0.0], [0.0, 1.0]]), [[0.5, 0.0], [0.0]], "ab",
+     [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool)],
 )
 def test_save_state_rejects_what_load_rejects(tmp_path, matrix):
     path = tmp_path / "state.json"
