@@ -116,34 +116,23 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
     dec = spectrum(superop)
     values = dec.eigenvalues
     count = values.shape[0]
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # np.hypot of the parts rounds as Python's abs(z) does; np.abs of a complex
     # array can differ from it in the last bit
     diff = values[:, None] - values[None, :]
     distances = np.hypot(diff.real, diff.imag)
-    close = np.triu(distances <= cluster_tol, 1)
-    for i, j in np.argwhere(close).tolist():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
+    within = distances <= cluster_tol
+    # single linkage: every value takes the lowest index it reaches through close pairs
+    labels, lowest = None, np.arange(count)
+    while not np.array_equal(labels, lowest):  # until no label moves
+        labels = lowest
+        lowest = np.where(within, labels, count).min(axis=1)
+        lowest = lowest[lowest]
+    order = np.argsort(labels, kind="stable")
     clusters = []
-    for members in groups.values():
-        pts = values[members]
+    for members in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
         diameter = distances[np.ix_(members, members)].max() if len(members) > 1 else 0.0
-        clusters.append(
-            EigenvalueCluster(complex(pts.mean()), tuple(members), float(diameter))
-        )
+        center = complex(values[members].mean())
+        clusters.append(EigenvalueCluster(center, tuple(members.tolist()), float(diameter)))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     defective = dec.eigenvector_condition > DEFECTIVE_CONDITION_LIMIT
     return DegeneracyReport(tuple(clusters), dec.eigenvector_condition, defective)

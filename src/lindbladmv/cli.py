@@ -123,6 +123,8 @@ def cmd_propagate(args) -> int:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     if not np.isfinite([args.t0, args.t1]).all():
         raise ValidationError(f"--t0 and --t1 must be finite, got {args.t0} and {args.t1}")
+    if args.t0 < 0.0:
+        raise ValidationError(f"--t0 must be >= 0, got {args.t0}")
     if args.t1 < args.t0:
         raise ValidationError(f"--t1 must be >= --t0, got {args.t0} > {args.t1}")
     if args.steps == 1 and args.t1 != args.t0:

@@ -52,6 +52,13 @@ def _as_float(x) -> float:
         return np.inf if x > 0 else -np.inf
 
 
+def _holds_boolean(a) -> bool:
+    """Whether ``a`` is, or its nested lists and tuples hold, a boolean or a boolean array."""
+    if isinstance(a, (list, tuple)):
+        return any(map(_holds_boolean, a))
+    return isinstance(a, (bool, np.bool_)) or isinstance(a, np.ndarray) and a.dtype.kind == "b"
+
+
 def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     """``a`` as an array of finite ``dtype`` entries: the one check of every input array.
 
@@ -67,7 +74,8 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind
-        if kind == "b":  # True is no number, and no time
+        # True is no number, and no time; numpy reads one among numbers in a list as 1
+        if kind == "b" or kind in "iufc" and not isinstance(a, np.ndarray) and _holds_boolean(a):
             raise ValidationError(f"{name} must be numbers, not booleans")
         if not (kind in "iuf" or kind == "c" and dtype is not float or kind == "O" and all(
             _is_number(x, numbers.Number) for x in arr.flat  # ints past int64, mixed objects
@@ -428,7 +436,5 @@ def eig(m) -> EigenDecomposition:
         columns, images = vectors, m @ vectors
     residuals = np.linalg.norm(images - vectors * values, axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        condition = float(np.linalg.cond(columns))
-    if not np.isfinite(condition):
-        condition = np.inf
+        condition = float(np.linalg.cond(columns))  # inf for a singular finite matrix
     return EigenDecomposition(values[order], vectors[:, order], residuals[order], condition)

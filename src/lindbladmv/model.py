@@ -59,7 +59,7 @@ class LindbladModel:
         normalized = []
         for k, jump in enumerate(self.jumps):
             try:
-                rate, op = jump
+                rate, op = () if isinstance(jump, np.ndarray) else jump  # an array's rows are no pair
             except (TypeError, ValueError):
                 raise ValidationError(f"jump {k} must be a (rate, operator) pair") from None
             rate = _as_float(rate) if _is_number(rate) else repr(rate)  # an int past floats is inf

@@ -93,11 +93,8 @@ def build_superoperator(model: LindbladModel) -> Superoperator:
     matrix = np.empty((n * n, n * n), dtype=complex)
     # entry (b*n + a, d*n + c) of the matrix is blocks[b, a, d, c]
     blocks = matrix.reshape(n, n, n, n)
-    if op.jumps:
-        scaled = np.stack([jump for jump, _ in op.jumps])
-        np.einsum("kac,kbd->badc", scaled, scaled.conj(), out=blocks)
-    else:
-        blocks.fill(0.0)
+    scaled = np.reshape([jump for jump, _ in op.jumps], (-1, n, n))  # (0, n, n) writes zeros
+    np.einsum("kac,kbd->badc", scaled, scaled.conj(), out=blocks)
     diag = np.arange(n)
     blocks[diag, :, diag, :] -= 1j * op.h_eff  # kron(I, H_eff): blocks[b, :, b, :]
     blocks[:, diag, :, diag] += 1j * op.h_eff.conj()  # kron(conj(H_eff), I)

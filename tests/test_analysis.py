@@ -178,6 +178,24 @@ class TestDetectDegeneracy:
         assert got == clusters_by_pairwise_loop(values, cluster_tol)
         assert 1 < len(got) < count
 
+    @pytest.mark.parametrize("spacing, clusters", [(0.5, 1), (3.0, 256)], ids=["chain", "singletons"])
+    def test_clusters_at_the_extremes_match_pairwise_loop(self, monkeypatch, spacing, clusters):
+        # 256 values on a line in shuffled order, neighbours spacing * cluster_tol
+        # apart: one chain that links them all, or no close pair at all
+        import lindbladmv.analysis as analysis
+
+        cluster_tol = 1e-3
+        count = 256
+        steps = np.random.default_rng(0).permutation(count)
+        values = spacing * cluster_tol * np.exp(0.3j) * steps
+        fake = EigenDecomposition(values, np.eye(count), np.zeros(count), 1.0)
+        monkeypatch.setattr(analysis, "spectrum", lambda superop: fake)
+        superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))  # the patch ignores it
+        report = detect_degeneracy(superop, cluster_tol)
+        got = [(c.center, c.members, c.diameter) for c in report.clusters]
+        assert got == clusters_by_pairwise_loop(values, cluster_tol)
+        assert len(got) == clusters
+
     def test_rejects_bad_tolerance(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))
         for cluster_tol in (0.0, np.nan, np.inf, True, "x"):

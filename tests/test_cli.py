@@ -258,8 +258,9 @@ def test_propagate_single_initial_row(tls_files, capsys):
         (["--t0=inf", "--t1", "inf", "--steps", "3"], "error: --t0 and --t1 must be finite"),
         (["--t1", "1", "--steps", "0"], "error: --steps must be >= 1"),
         (["--t0", "1", "--t1", "0.5", "--steps", "3"], "error: --t1 must be >= --t0"),
+        (["--t0", "-1", "--t1", "1", "--steps", "3"], "error: --t0 must be >= 0"),
     ],
-    ids=["steps-1", "t1-inf", "t0-minus-inf", "both-inf", "steps-0", "t1-before-t0"],
+    ids=["steps-1", "t1-inf", "t0-minus-inf", "both-inf", "steps-0", "t1-before-t0", "t0-negative"],
 )
 def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, message):
     # a bad grid is one error line, with no numpy warning before it
@@ -281,8 +282,10 @@ def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, mes
         (["propagate", "missing.json", "--state", "s.json", "--observables", "o.json",
           "--t1", "1", "--steps", "0"], "--steps"),
         (["spectrum", "missing.json", "--method", "vec", "--basis", "b.json"], "--basis"),
+        (["propagate", "missing.json", "--state", "s.json", "--observables", "o.json",
+          "--t0", "-1", "--t1", "1", "--steps", "3", "--method", "heisenberg"], "--t0"),
     ],
-    ids=["propagate-steps", "spectrum-basis"],
+    ids=["propagate-steps", "spectrum-basis", "propagate-negative-t0"],
 )
 def test_options_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, option):
     monkeypatch.chdir(tmp_path)  # none of the files exists

@@ -33,7 +33,7 @@ from lindbladmv import (
     validate_state,
     vec,
 )
-from lindbladmv.linalg import eigvals
+from lindbladmv.linalg import as_square, as_times, eigvals
 from lindbladmv.tls import GROUND, IDENTITY, SX, SY, SZ, TLSParams, build_tls
 
 MODEL = build_tls(TLSParams(0.3, 0.7, 1.0))
@@ -84,3 +84,21 @@ ENTRY_POINTS = {
 def test_ragged_or_non_numeric_input_is_a_validation_error(entry, bad):
     with pytest.raises(ValidationError):
         ENTRY_POINTS[entry](bad)
+
+
+def test_boolean_among_listed_times_is_no_time():
+    # numpy promotes [0, True] to the grid [0, 1]
+    with pytest.raises(ValidationError, match="not booleans"):
+        as_times([0, True])
+
+
+def test_boolean_in_nested_rows_is_no_number():
+    # numpy promotes [[True, 0], [0, 1]] to the identity
+    with pytest.raises(ValidationError, match="not booleans"):
+        as_square([[True, 0], [0, 1]])
+
+
+def test_boolean_array_in_a_list_of_operators_is_no_number():
+    # numpy promotes a boolean identity stacked with a float matrix to the float identity
+    with pytest.raises(ValidationError, match="not booleans"):
+        expectations([np.eye(2, dtype=bool), np.eye(2)], GROUND)

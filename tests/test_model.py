@@ -59,6 +59,11 @@ class TestModelConstruction:
         with pytest.raises(ValidationError, match="jump 0 must be a"):
             LindbladModel(np.zeros((3, 3)), (np.eye(3),))
 
+    def test_array_jump_is_not_unpacked_into_its_rows(self):
+        # a 2 x 2 array unpacks into two rows, which are no (rate, operator) pair
+        with pytest.raises(ValidationError, match=r"jump 0 must be a \(rate, operator\) pair"):
+            LindbladModel(np.zeros((2, 2)), (np.eye(2),))
+
     def test_jump_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             LindbladModel(np.eye(2), ((1.0, np.eye(3)),))

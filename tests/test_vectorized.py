@@ -139,6 +139,21 @@ class TestBuildSuperoperator:
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 0.0)))
         assert np.array_equal(superop.matrix, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("rates", [(), (0.0,)], ids=["jump-free", "zero-rate-jump"])
+    def test_without_jumps_the_matrix_is_the_commutator(self, rng, rates):
+        # the jump sum over no jump must write its zeros: np.empty can hand back
+        # the memory of the array of ones freed just before
+        n = 4
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = g + g.conj().T
+        model = LindbladModel(h, tuple((rate, g) for rate in rates))
+        ones = np.ones((n * n, n * n), dtype=complex)
+        del ones
+        matrix = build_superoperator(model).matrix
+        eye = np.eye(n)
+        expected = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        assert np.abs(matrix - expected).max() <= 4 * EPS * np.abs(h).max()
+
     def test_trace_preservation_row_condition(self, rng):
         for n in (2, 3, 4):
             model = random_model(rng, n, n_jumps=2)
