@@ -88,8 +88,6 @@ def _adjoint_partners(coords: np.ndarray):
     ``-0.0`` that ``conj`` makes of ``+0.0`` equal to it); equal sums, as of a
     repeated member of a (then dependent) set, give ``None`` too.
     """
-    if not coords.imag.any():  # all Hermitian, each its own partner
-        return np.arange(len(coords))
     sums = coords @ np.sqrt(np.arange(2.0, coords.shape[1] + 2.0))
     position = dict(zip(sums.tolist(), range(len(coords))))
     partner = np.array([position.get(z, -1) for z in sums.conj().tolist()])

@@ -75,7 +75,7 @@ def _as_array(a, name: str, ndims=None, n=None, *, dtype=complex) -> np.ndarray:
         arr = np.asarray(a)
         kind = arr.dtype.kind
         # True is no number, and no time; numpy reads one among numbers in a list as 1
-        if kind == "b" or kind in "iufc" and not isinstance(a, np.ndarray) and _holds_boolean(a):
+        if kind == "b" or kind in "iufcO" and not isinstance(a, np.ndarray) and _holds_boolean(a):
             raise ValidationError(f"{name} must be numbers, not booleans")
         if not (kind in "iuf" or kind == "c" and dtype is not float or kind == "O" and all(
             _is_number(x, numbers.Number) for x in arr.flat  # ints past int64, mixed objects
@@ -304,7 +304,7 @@ def expm_action(m, v, t=1.0) -> np.ndarray:
     if is_zero:
         out[:] = v
         return out[0] if scalar else out
-    span, excess = abs(grid[-1]), None
+    span, excess = np.abs(grid).max(initial=0.0), None
 
     def misses(tau, psi):  # the estimate fails its share of the budget, or is NaN
         nonlocal excess
@@ -382,9 +382,6 @@ class EigenDecomposition:
     right_eigenvectors: np.ndarray
     residual_norms: np.ndarray
     eigenvector_condition: float
-
-    def __len__(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def _dense_eig(m, right: bool):

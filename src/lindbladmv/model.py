@@ -120,7 +120,7 @@ class LiouvilleOperator:
         )
         self.shape = (self.dim**2, self.dim**2)
         self._stacked = np.concatenate([-2j * h_eff] + [s for s, _ in jumps])
-        self._jumps_dag = np.concatenate([d for _, d in jumps]) if jumps else None
+        self._jumps_dag = np.reshape([d for _, d in jumps], (-1, self.dim))  # (0, n) when K = 0
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The generator on an ``n x n`` matrix or a stack."""
@@ -151,10 +151,8 @@ class LiouvilleOperator:
             return to_hermitian_basis(self.apply(from_hermitian_basis(r)))
         n = self.dim
         products = self._stacked @ from_hermitian_basis(r)
-        image = products[:n]
-        if self._jumps_dag is not None:
-            blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
-            image = image + blocks @ self._jumps_dag
+        blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
+        image = products[:n] + blocks @ self._jumps_dag
         return np.ascontiguousarray(to_hermitian_basis(image).real)
 
 

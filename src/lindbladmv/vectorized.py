@@ -71,6 +71,8 @@ class Superoperator:
     model: LindbladModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (_is_number(self.dim_hilbert, numbers.Integral) and self.dim_hilbert >= 1):
+            raise ValidationError(f"dim_hilbert must be an integer >= 1, got {self.dim_hilbert!r}")
         m = as_square(self.matrix, "superoperator matrix", self.dim_hilbert**2)
         object.__setattr__(self, "matrix", m)
 

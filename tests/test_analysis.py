@@ -12,7 +12,7 @@ from lindbladmv.analysis import (
 from lindbladmv.errors import DefectiveSpectrumError, ValidationError
 from lindbladmv.linalg import EigenDecomposition
 from lindbladmv.model import random_density, random_model
-from lindbladmv.tls import EXCITED, GROUND, SZ, TLSParams, build_tls
+from lindbladmv.tls import EXCITED, GROUND, SX, SZ, TLSParams, build_tls
 from lindbladmv.vectorized import build_superoperator, propagate
 from lindbladmv.model import LindbladModel
 
@@ -30,6 +30,15 @@ class TestObservableModes:
         assert pairs[0][1] == pytest.approx(1.0, abs=1e-12)
         assert pairs[1][0] == pytest.approx(0.0, abs=1e-12)
         assert pairs[1][1] == pytest.approx(-0.5, abs=1e-12)
+
+    def test_undriven_coherence_decay_rates_and_frequencies(self):
+        # <Sx> from |+><+| rotates at the detuning and decays at half the decay rate
+        superop = build_superoperator(build_tls(TLSParams(0.7, 0.0, 0.8)))
+        dec = observable_modes(superop, np.full((2, 2), 0.5), SX)
+        order = np.argsort(dec.frequencies)
+        assert dec.decay_rates[order] == pytest.approx([0.4, 0.4], abs=1e-12)
+        assert dec.frequencies[order] == pytest.approx([-0.7, 0.7], abs=1e-12)
+        assert dec.amplitudes[order] == pytest.approx([0.25, 0.25], abs=1e-12)
 
     def test_stationary_state_keeps_only_zero_mode(self):
         superop = build_superoperator(build_tls(TLSParams(0.0, 0.0, 1.0)))

@@ -87,9 +87,12 @@ def test_ragged_or_non_numeric_input_is_a_validation_error(entry, bad):
 
 
 def test_boolean_among_listed_times_is_no_time():
-    # numpy promotes [0, True] to the grid [0, 1]
-    with pytest.raises(ValidationError, match="not booleans"):
-        as_times([0, True])
+    # numpy promotes [0, True] to the grid [0, 1]; an int past int64 makes the list objects
+    for times in ([0, True], [0.0, True, 10**20]):
+        with pytest.raises(ValidationError, match="not booleans"):
+            as_times(times)
+    with pytest.raises(ValidationError, match="real numbers with one shape"):
+        as_times([0.0, 10**400])  # past the float range, with no boolean
 
 
 def test_boolean_in_nested_rows_is_no_number():

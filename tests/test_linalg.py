@@ -406,6 +406,14 @@ class TestExpmAction:
         out = expm_action(m, v, 1.0)
         assert np.abs(out - np.exp([-1.0, -2.0, -3.0]) * v).max() <= 1e-14
 
+    def test_empty_grid_gives_no_rows(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        matrix = hermitian_matrix(build_superoperator(model))
+        v = rng.normal(size=9)
+        for m in (model.operator, matrix):
+            assert expm_action(m, v, []).shape == (0, 9)
+            assert propagate_linear(m, v, []).shape == (0, 9)
+
 
 class TestPropagateLinear:
     def test_matches_exponential_at_every_time(self, rng):

@@ -82,6 +82,16 @@ class TestVec:
     def test_unvec_takes_numpy_integers(self):
         assert np.array_equal(unvec(np.arange(4.0), np.int64(2)), [[0.0, 2.0], [1.0, 3.0]])
 
+    @pytest.mark.parametrize("dim", [-2, 0, 2.0, True], ids=repr)
+    def test_superoperator_dim_hilbert_must_be_a_positive_integer(self, dim):
+        # the matrix has the dim_hilbert**2 rows it asks for, so only the dimension is wrong
+        size = abs(int(dim)) ** 2
+        with pytest.raises(ValidationError, match="dim_hilbert"):
+            Superoperator(dim, np.zeros((size, size)))
+
+    def test_superoperator_takes_numpy_integers(self):
+        assert Superoperator(np.int64(2), np.zeros((4, 4))).dim_hilbert == 2
+
 
 class TestKroneckerIdentities:
     """The three multiplication rules behind the superoperator assembly."""
@@ -348,6 +358,12 @@ class TestPropagate:
         system = build_superoperator(model) if dense else model
         with pytest.raises(ValidationError, match="does not match dim 3"):
             propagate(system, random_density(rng, 2), [0.0])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["superoperator", "model"])
+    def test_empty_grid_gives_no_states(self, rng, dense):
+        model = random_model(rng, 3)
+        system = build_superoperator(model) if dense else model
+        assert propagate(system, random_density(rng, 3), []) == []
 
     def test_rejects_bad_times(self, rng):
         superop = build_superoperator(random_model(rng, 2))
