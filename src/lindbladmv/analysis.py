@@ -109,10 +109,15 @@ class DegeneracyReport:
     defective: bool
 
 
+def check_cluster_tol(cluster_tol, name: str = "cluster_tol") -> None:
+    """Reject a ``cluster_tol`` that is not positive and finite, naming it ``name``."""
+    if not (_is_number(cluster_tol) and 0.0 < cluster_tol < np.inf):
+        raise ValidationError(f"{name} must be positive and finite, got {cluster_tol}")
+
+
 def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyReport:
     """Cluster the spectrum at scale ``cluster_tol`` and flag defectiveness."""
-    if not (_is_number(cluster_tol) and 0.0 < cluster_tol < np.inf):
-        raise ValidationError(f"cluster_tol must be positive and finite, got {cluster_tol}")
+    check_cluster_tol(cluster_tol)
     dec = spectrum(superop)
     values = dec.eigenvalues
     count = values.shape[0]

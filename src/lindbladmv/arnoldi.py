@@ -54,11 +54,11 @@ class KrylovReduction:
         return from_hermitian_basis(self.coordinates)
 
 
-def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) -> KrylovReduction:
+def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim=None, horizon=None) -> KrylovReduction:
     """Gram-Schmidt reduction of the generator on the Krylov space of ``rho0``.
 
     Builds at most ``krylov_dim + 1`` basis rows from an integer
-    ``krylov_dim`` in ``[0, n^2 - 1]`` (the full Liouville dimension).  The
+    ``krylov_dim`` in ``[0, n^2 - 1]``, by default ``n^2 - 1``.  The
     kernel :func:`~lindbladmv.linalg.arnoldi_iteration` runs on the
     coordinates of ``rho0 / beta`` on the Hermitian basis, whose dot product
     is the Hilbert-Schmidt one, through
@@ -80,6 +80,7 @@ def arnoldi_reduce(model: LindbladModel, rho0, krylov_dim: int, horizon=None) ->
     computed once, when the cap stops it first.
     """
     n = model.dim
+    krylov_dim = n * n - 1 if krylov_dim is None else krylov_dim
     if not _is_number(krylov_dim, numbers.Integral) or not 0 <= krylov_dim <= n * n - 1:
         raise ValidationError(
             f"krylov_dim must be an integer in [0, {n * n - 1}], got {krylov_dim!r}"

@@ -68,13 +68,10 @@ def _needs_method(args, dest: str, method: str) -> None:
         raise ValidationError(f"{option} needs --method {method}, not --method {args.method}")
 
 
-def _krylov_dim(args, model) -> int:
-    """``--krylov-dim`` or ``n^2 - 1``: ``spectrum``'s reduction size, ``propagate``'s cap."""
-    return model.dim**2 - 1 if args.krylov_dim is None else args.krylov_dim
-
-
 def cmd_spectrum(args) -> int:
     _needs_method(args, "krylov_dim", "arnoldi")
+    if args.krylov_dim is not None and args.krylov_dim < 0:  # n^2 - 1 needs the model
+        raise ValidationError(f"--krylov-dim must be >= 0, got {args.krylov_dim}")
     for dest, method in (("state", "arnoldi"), ("basis", "heisenberg")):  # each file, one method
         _needs_method(args, dest, method)
         if args.method == method and not getattr(args, dest):
@@ -84,7 +81,7 @@ def cmd_spectrum(args) -> int:
         values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":
         rho0 = validate_state(modelio.load_state(args.state))
-        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, _krylov_dim(args, model)).hessenberg)
+        values = eigvals(arnoldi.arnoldi_reduce(model, rho0, args.krylov_dim).hessenberg)
     else:  # heisenberg
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
         rep = heisenberg.close_set(model, ops)
@@ -130,12 +127,13 @@ def cmd_propagate(args) -> int:
     if args.steps == 1 and args.t1 != args.t0:
         raise ValidationError(f"--steps 1 needs --t1 equal to --t0, got {args.t1} != {args.t0}")
     _needs_method(args, "krylov_dim", "arnoldi")
+    if args.krylov_dim is not None and args.krylov_dim < 0:
+        raise ValidationError(f"--krylov-dim must be >= 0, got {args.krylov_dim}")
     model = modelio.load_model(args.model)
     rho0 = validate_state(modelio.load_state(args.state))
     observables = modelio.load_observables(args.observables)
     times = np.linspace(args.t0, args.t1, args.steps)
-    krylov_dim = _krylov_dim(args, model)
-    labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, krylov_dim)
+    labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, args.krylov_dim)
     header = "t," + ",".join(f"{label}_re,{label}_im" for label in labels)
     parts = np.stack([rows.real, rows.imag], axis=-1).reshape(len(times), -1)  # re, im by turns
     lines = [header] + _csv_lines(np.column_stack([times, parts]))
@@ -144,6 +142,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    analysis.check_cluster_tol(args.cluster_tol, "cluster_tol (--cluster-tol)")
     model = modelio.load_model(args.model)
     superop = vectorized.build_superoperator(model)
     report = analysis.detect_degeneracy(superop, args.cluster_tol)

@@ -13,14 +13,14 @@ gives for matrices.  :func:`hermitian_matrix` is ``U S U^H``, which
 :func:`spectrum` returns; a model is propagated on its matrix-free
 :class:`~lindbladmv.model.LiouvilleOperator`, which applies to the same
 coordinates.  A Lindblad generator maps Hermitian matrices to Hermitian
-ones, so on that basis its matrix and the coordinates of a Hermitian state
-are real.
+ones, so on that basis its matrix is real, as :func:`hermitian_matrix`
+finds it to round-off, and so are the coordinates of a Hermitian state.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import ComputedStateError, ValidationError
 from .linalg import EPS, EigenDecomposition, _as_array, _is_number, as_square, as_times, eig
 from .linalg import propagate_linear
 from .model import (
+    HERMITICITY_RTOL,
     TRACE_RTOL,
     DensityMatrix,
     LindbladModel,
@@ -55,20 +56,11 @@ def unvec(r, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states.
-
-    ``model`` is set only by :func:`build_superoperator`, to the model the
-    matrix was assembled from; it tells :func:`hermitian_matrix` that the
-    matrix preserves Hermiticity, so ``U S U^H`` is real.  It is not a
-    constructor argument and ``dataclasses.replace`` does not carry it over,
-    so a hand-built or replaced superoperator has no model and a complex
-    ``U S U^H``.
-    """
+    """The generator as an ``n^2 x n^2`` matrix acting on column-stacked states."""
 
     dim_hilbert: int
     matrix: np.ndarray
     convention: ClassVar[str] = COLUMN_STACKING
-    model: LindbladModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_number(self.dim_hilbert, numbers.Integral) and self.dim_hilbert >= 1):
@@ -100,24 +92,23 @@ def build_superoperator(model: LindbladModel) -> Superoperator:
     diag = np.arange(n)
     blocks[diag, :, diag, :] -= 1j * op.h_eff  # kron(I, H_eff): blocks[b, :, b, :]
     blocks[:, diag, :, diag] += 1j * op.h_eff.conj()  # kron(conj(H_eff), I)
-    superop = Superoperator(n, matrix)
-    object.__setattr__(superop, "model", model)
-    return superop
+    return Superoperator(n, matrix)
 
 
 def hermitian_matrix(superop: Superoperator) -> np.ndarray:
     """``U S U^H``: the superoperator matrix ``S`` on the Hermitian basis, ``U`` on ``vec`` vectors.
 
-    Real for a superoperator :func:`build_superoperator` made, which preserves
-    Hermiticity by construction: only round-off is dropped with the
-    imaginary part.  Complex for a hand-built one, whose eigenvalues are
-    those of ``S`` all the same.
+    A Lindblad generator maps Hermitian matrices to Hermitian ones, so its
+    ``U S U^H`` is real: the result is real when its imaginary part is at most
+    ``HERMITICITY_RTOL * ||S||_F`` in Frobenius norm, which is round-off, and
+    complex otherwise, with the eigenvalues of ``S`` either way.
     """
     n = superop.dim_hilbert
     # the vec vectors along axis 0 of an (n^2, k) array x are the matrices x.reshape(n, n, k).T
     left = to_hermitian_basis(superop.matrix.reshape(n, n, -1).T)  # (U S)^T
     r = to_hermitian_basis(np.conjugate(left, out=left).reshape(n, n, -1).T)  # (U (U S)^H)^T
-    return np.ascontiguousarray(r.real) if superop.model is not None else r.conj()
+    real = np.linalg.norm(r.imag) <= HERMITICITY_RTOL * np.linalg.norm(superop.matrix)
+    return np.ascontiguousarray(r.real) if real else r.conj()
 
 
 def propagate(system: Superoperator | LindbladModel, rho0, times) -> list[DensityMatrix]:

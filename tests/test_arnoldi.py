@@ -87,6 +87,15 @@ class TestReduce:
         reduction = arnoldi_reduce(model, GROUND, np.int64(2))
         assert np.array_equal(reduction.hessenberg, arnoldi_reduce(model, GROUND, 2).hessenberg)
 
+    def test_krylov_dim_defaults_to_the_liouville_dimension(self, rng):
+        model = random_model(rng, 3, n_jumps=2)
+        rho0 = random_density(rng, 3)
+        for horizon in (None, 2.0):
+            default = arnoldi_reduce(model, rho0, horizon=horizon)
+            full = arnoldi_reduce(model, rho0, 8, horizon)
+            assert np.array_equal(default.hessenberg, full.hessenberg)
+            assert np.array_equal(default.coordinates, full.coordinates)
+
     def test_orthonormality_and_structure(self, rng):
         for n in (2, 3, 4):
             model = random_model(rng, n, n_jumps=2)

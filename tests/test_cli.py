@@ -284,8 +284,15 @@ def test_propagate_single_step_needs_t1_equal_to_t0(tls_files, capsys, grid, mes
         (["spectrum", "missing.json", "--method", "vec", "--basis", "b.json"], "--basis"),
         (["propagate", "missing.json", "--state", "s.json", "--observables", "o.json",
           "--t0", "-1", "--t1", "1", "--steps", "3", "--method", "heisenberg"], "--t0"),
+        (["degeneracy", "missing.json", "--cluster-tol", "-1"], "--cluster-tol"),
+        (["degeneracy", "missing.json", "--cluster-tol", "nan"], "--cluster-tol"),
+        (["spectrum", "missing.json", "--method", "arnoldi", "--state", "s.json",
+          "--krylov-dim", "-1"], "--krylov-dim"),
+        (["propagate", "missing.json", "--state", "s.json", "--observables", "o.json",
+          "--t1", "1", "--steps", "3", "--method", "arnoldi", "--krylov-dim", "-1"], "--krylov-dim"),
     ],
-    ids=["propagate-steps", "spectrum-basis", "propagate-negative-t0"],
+    ids=["propagate-steps", "spectrum-basis", "propagate-negative-t0", "degeneracy-negative-tol",
+         "degeneracy-nan-tol", "spectrum-negative-krylov-dim", "propagate-negative-krylov-dim"],
 )
 def test_options_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, option):
     monkeypatch.chdir(tmp_path)  # none of the files exists

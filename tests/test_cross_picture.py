@@ -26,13 +26,17 @@ The bound on ``||rho_route(t) - rho_vec(t)||_F`` has two parts, with
   step within one unit roundoff of ``||S dt||``, and the squarings and the
   product with the state each round about once more: ``a = 4``.  The
   coordinate maps, a Krylov or Heisenberg readout and the final products
-  round a few times each: ``b = 8``.  With ``n <= 8``, ``c = 64``.
+  round a few times each: ``b = 8``.  For every ``n >= 2``, ``n a >= b``,
+  so ``c = 2 max(b, n a) = 8 n``: ``c = 64`` covers ``n <= 8``, and the
+  cases at ``n = 16``, 24 and 32 take ``c = 8 n``.
 
 ``a`` and ``b`` count roundings; they are not worst-case bounds.  Over 3500
 seeded draws of this strategy, half of them at its extremes (``H`` scale 1
 and 30, rates 1e-3 and 1, horizons 0.1 and 20), the largest excess of a
 route over the truncation term was ``19.4 eps (1 + nu t) ||rho0||_F``, at
-``n = 2``.
+``n = 2``.  The deterministic cases at ``n = 16``, 24 and 32 take the
+strategy's two extremes, ``H`` scale 1 with horizon 0.1 and ``H`` scale 30
+with horizon 20, each with rates 1e-3 and 1.
 
 ``propagate`` holds the states of ``vec`` and ``expm-action`` to the
 density-matrix checks of ``state_violations``, with the trace budget
@@ -45,6 +49,7 @@ does not cover that; ``TRACE_RTOL`` carries the margin.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +59,7 @@ from lindbladmv.linalg import ACTION_RTOL, EPS
 from lindbladmv.model import TRACE_RTOL, LindbladModel, random_density, state_violations
 from lindbladmv.vectorized import build_superoperator, propagate
 
-#: Round-off constant of the bound, derived in the module docstring.
+#: Round-off constant of the bound for ``n <= 8``, derived in the module docstring.
 C_ROUNDOFF = 64.0
 
 
@@ -72,6 +77,16 @@ def _gaussian(rng, n, scale):
     horizon=st.floats(0.1, 20.0),
 )
 def test_four_routes_agree_at_every_time(seed, n, rates, h_scale, horizon):
+    _assert_four_routes_agree(seed, n, rates, h_scale, horizon)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("h_scale, horizon", [(1.0, 0.1), (30.0, 20.0)])
+def test_four_routes_agree_up_to_n_32(n, h_scale, horizon):
+    _assert_four_routes_agree(n, n, [1e-3, 1.0], h_scale, horizon)
+
+
+def _assert_four_routes_agree(seed, n, rates, h_scale, horizon):
     rng = np.random.default_rng(seed)
     g = _gaussian(rng, n, 1.0)
     hamiltonian = 0.5 * (g + g.conj().T)
@@ -91,7 +106,8 @@ def test_four_routes_agree_at_every_time(seed, n, rates, h_scale, horizon):
 
     norm0 = np.linalg.norm(rho0)
     nu = model.operator.norm_bound
-    bound = ACTION_RTOL * norm0 + C_ROUNDOFF * EPS * (1.0 + nu * times) * norm0
+    c_roundoff = max(C_ROUNDOFF, 8.0 * n)  # c = 8 n, derived in the module docstring
+    bound = ACTION_RTOL * norm0 + c_roundoff * EPS * (1.0 + nu * times) * norm0
     for route in (action, reduced, heisenberg):
         assert (np.linalg.norm(route - reference, axis=(1, 2)) <= bound).all()
     # the arnoldi and heisenberg states, which propagate does not make, pass its state checks too

@@ -18,6 +18,7 @@ from lindbladmv.errors import (
 )
 from lindbladmv.linalg import EPS, eigvals, hs_inner, propagate_linear
 from lindbladmv.model import (
+    HERMITICITY_RTOL,
     TRACE_RTOL,
     LindbladModel,
     apply_generator,
@@ -273,7 +274,6 @@ class TestPropagate:
         superop = build_superoperator(random_model(rng, 2))
         rho0 = random_density(rng, 2)
         broken = dataclasses.replace(superop, matrix=superop.matrix + 0.1 * np.eye(4))
-        assert broken.model is None
         with pytest.raises(NumericalError) as excinfo:
             propagate(broken, rho0, [0.0, 1.0])
         assert not isinstance(excinfo.value, ValidationError)
@@ -288,7 +288,8 @@ class TestPropagate:
         with pytest.raises(ComputedStateError) as excinfo:
             propagate(broken, rho0, [0.0, 0.5, 1.0])
         assert excinfo.value.time == 0.5
-        state = unvec(propagate_linear(broken.matrix, vec(rho0.matrix), [0.0, 0.5])[1], 3)
+        r0 = to_hermitian_basis(rho0.matrix)
+        state = from_hermitian_basis(propagate_linear(hermitian_matrix(broken), r0, [0.0, 0.5])[1])
         budget = TRACE_RTOL + EPS * np.linalg.norm(broken.matrix, 1) * 0.5
         assert excinfo.value.violations == state_violations(state[np.newaxis], budget)[0]
 
@@ -468,6 +469,43 @@ class TestHermitianBasis:
         assert multiset_close(values, scipy.linalg.eigvals(superop.matrix), 1e-9)
         # a real matrix has its complex eigenvalues in exact conjugate pairs
         assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+
+    def test_hand_built_and_replaced_superoperators_are_real(self, rng):
+        # realness is read off the matrix, not off the function that made it
+        superop = build_superoperator(random_model(rng, 4, n_jumps=2))
+        expected = hermitian_matrix(superop)
+        assert expected.dtype == np.float64
+        for other in (Superoperator(4, superop.matrix), dataclasses.replace(superop)):
+            r = hermitian_matrix(other)
+            assert r.dtype == np.float64 and np.array_equal(r, expected)
+            values = spectrum(other).eigenvalues
+            assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 2, 3, 3, 4, 5, 8, 16]),
+        n_jumps=st.integers(0, 3),
+        h_exponent=st.floats(-3.0, 3.0),
+        rate_exponents=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_generators_near_the_hermiticity_limit_stay_real(
+        self, seed, n, n_jumps, h_exponent, rate_exponents
+    ):
+        # H Hermitian only to 0.98 HERMITICITY_RTOL: -i(H_eff rho - rho H_eff^H) still
+        # preserves Hermiticity, so U S U^H is real up to round-off
+        rng = np.random.default_rng(seed)
+        h = 10.0**h_exponent * random_hermitian(rng, n)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        skew = g - g.conj().T  # the defect H - H^H of H + c skew is 2 c skew
+        h = h + (0.49 * HERMITICITY_RTOL * np.linalg.norm(h) / np.linalg.norm(skew)) * skew
+        jumps = tuple(
+            (10.0**e, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            for e in rate_exponents[:n_jumps]
+        )
+        model = LindbladModel(h, jumps)
+        assert np.linalg.norm(h - h.conj().T) >= 0.97 * HERMITICITY_RTOL * np.linalg.norm(h)
+        assert hermitian_matrix(build_superoperator(model)).dtype == np.float64
 
     def test_hand_built_non_hermiticity_preserving_superoperator(self, rng):
         n = 3
