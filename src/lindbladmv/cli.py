@@ -68,6 +68,15 @@ def _needs_method(args, dest: str, method: str) -> None:
         raise ValidationError(f"{option} needs --method {method}, not --method {args.method}")
 
 
+def _check_dim(option: str, matrix: np.ndarray, model) -> np.ndarray:
+    """``matrix``, read from the file of ``option``, once its dimension is the model's."""
+    if matrix.shape[0] != model.dim:
+        raise ValidationError(
+            f"{option} has dimension {matrix.shape[0]}, but the model has dimension {model.dim}"
+        )
+    return matrix
+
+
 def cmd_spectrum(args) -> int:
     _needs_method(args, "krylov_dim", "arnoldi")
     if args.krylov_dim is not None and args.krylov_dim < 0:  # n^2 - 1 needs the model
@@ -80,10 +89,11 @@ def cmd_spectrum(args) -> int:
     if args.method == "vec":
         values = eigvals(vectorized.hermitian_matrix(vectorized.build_superoperator(model)))
     elif args.method == "arnoldi":
-        rho0 = validate_state(modelio.load_state(args.state))
+        rho0 = validate_state(_check_dim("--state", modelio.load_state(args.state), model))
         values = eigvals(arnoldi.arnoldi_reduce(model, rho0, args.krylov_dim).hessenberg)
     else:  # heisenberg
         ops = [matrix for _, matrix in modelio.load_observables(args.basis)]
+        _check_dim("--basis", ops[0], model)  # the file's matrices share one dim
         rep = heisenberg.close_set(model, ops)
         # conjugate so all three methods print directly comparable values (+ 0j: no -0.0)
         values = np.conj(eigvals(rep.generator)) + 0j
@@ -130,8 +140,9 @@ def cmd_propagate(args) -> int:
     if args.krylov_dim is not None and args.krylov_dim < 0:
         raise ValidationError(f"--krylov-dim must be >= 0, got {args.krylov_dim}")
     model = modelio.load_model(args.model)
-    rho0 = validate_state(modelio.load_state(args.state))
+    rho0 = validate_state(_check_dim("--state", modelio.load_state(args.state), model))
     observables = modelio.load_observables(args.observables)
+    _check_dim("--observables", observables[0][1], model)  # the file's matrices share one dim
     times = np.linspace(args.t0, args.t1, args.steps)
     labels, rows = _trajectory_rows(model, rho0, observables, times, args.method, args.krylov_dim)
     header = "t," + ",".join(f"{label}_re,{label}_im" for label in labels)

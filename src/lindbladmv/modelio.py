@@ -3,7 +3,8 @@
 Complex scalars are encoded as two-element ``[re, im]`` arrays of numbers
 (``true`` and ``false`` are not numbers) and matrices as nested row lists.
 Floats go through JSON's shortest round-trip decimal encoding, so write ->
-parse reproduces the numbers bit-exactly.
+parse reproduces the numbers bit-exactly.  The two decoders below give every
+number the same float.
 """
 
 from __future__ import annotations
@@ -13,10 +14,22 @@ import math
 import numbers
 
 import numpy as np
+import orjson
 
 from .errors import ModelFormatError, ValidationError
 from .linalg import _as_array, _as_float, _is_number, as_square
 from .model import LindbladModel
+
+#: Files of at most this many JSON arrays (``[`` bytes) are decoded whole by orjson, and
+#: larger ones by ``json.loads`` with :func:`_matrix_hook`.  orjson reads a 17-digit float
+#: in about a third of the time, but a whole parse keeps every array alive until it
+#: returns, and in a fresh ``lindbladmv`` process the first full pass of the cyclic garbage
+#: collector falls between 17k and 20k such arrays.  Single loads in fresh processes
+#: (Python 3.11.7, numpy 2.4.6, orjson 3.8.3, one BLAS thread; orjson against the hook):
+#: random n = 32 matrices 5.3k arrays 3.4 against 5.5 ms, 16.9k 9 against 15 ms, 21k 22
+#: against 18 ms; n = 16 matrix units 17.5k arrays 8.3 against 7.4 ms, 19.7k 20 against
+#: 8 ms, 70k 48 against 29 ms.  2**14 stays below the full pass.
+WHOLE_PARSE_ARRAYS = 2**14
 
 
 def _matrix_to_rows(matrix) -> list:
@@ -28,6 +41,10 @@ def _check_label(label: str, where: str, error) -> None:
     """Raise ``error`` naming ``where`` if ``label`` cannot be a CSV column name as it stands."""
     if any(c in label for c in ',"\r\n'):
         raise error(f"{where}.label must not contain a comma, quote or line break")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which JSON's \u escapes can spell
+        raise error(f"{where}.label must be text UTF-8 can encode, got {label!r}") from None
 
 
 def open_for_writing(path, mode: str = "w"):
@@ -54,22 +71,32 @@ def _pair_to_complex(value, where: str) -> complex:
     return complex(_as_float(value[0]), _as_float(value[1]))
 
 
-def _matrix_hook(obj: dict) -> dict:
-    """``json.load``'s ``object_hook``: each ``matrix`` or ``hamiltonian`` value that one
-    ``np.array`` call turns into numbers of shape ``(m, m, 2)`` becomes that array.
+def _convert_matrices(obj: dict) -> bool:
+    """Turn each ``matrix`` or ``hamiltonian`` value of ``obj`` that one ``np.array`` call
+    makes numbers of shape ``(m, m, 2)`` into that array; whether every such value did.
 
-    The hook runs as each object closes, so a matrix's row and pair lists are freed there
-    and the parsed tree never holds them all, which would set off the cyclic garbage
-    collector.  Any other value stays as parsed, for :func:`_rows_to_matrix` to walk.
+    Any other value stays as parsed, for :func:`_rows_to_matrix` to walk.
     """
+    converted = True
     for key in ("matrix", "hamiltonian"):
         if key in obj:
             try:
                 pairs = np.array(obj[key])
             except ValueError:  # ragged nesting
+                converted = False
                 continue
             if pairs.dtype.kind in "iuf" and pairs.ndim == 3 and pairs.shape[1:] == (len(pairs), 2):
                 obj[key] = pairs
+            else:
+                converted = False
+    return converted
+
+
+def _matrix_hook(obj: dict) -> dict:
+    """``json.loads``' ``object_hook``: :func:`_convert_matrices` as each object closes, so a
+    matrix's row and pair lists are freed there and the parsed tree never holds them all,
+    which would set off the cyclic garbage collector."""
+    _convert_matrices(obj)
     return obj
 
 
@@ -95,30 +122,65 @@ def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
     return out
 
 
-def _has_boolean(text: str) -> bool:
-    """Whether ``text`` holds ``true`` or ``false``, in strings too.  Only each ``u`` and
-    ``f`` is looked at: no number holds them and no key but ``jumps``, so memchr scans."""
-    for letter, literal, offset in (("u", "true", 2), ("f", "false", 0)):
-        i = text.find(letter)
+def _has_boolean(raw: bytes) -> bool:
+    """Whether the UTF-8 ``raw`` holds ``true`` or ``false``, in strings too.  Only each ``u``
+    and ``f`` is looked at: no number holds them and no key but ``jumps``, so memchr scans."""
+    for letter, literal, offset in ((b"u", b"true", 2), (b"f", b"false", 0)):
+        i = raw.find(letter)
         while i >= 0:
-            if i >= offset and text.startswith(literal, i - offset):
+            if i >= offset and raw.startswith(literal, i - offset):
                 return True
-            i = text.find(letter, i + 1)
+            i = raw.find(letter, i + 1)
     return False
+
+
+def _decode_whole(raw: bytes):
+    """``raw`` decoded by orjson, with each matrix the loaders read converted by
+    :func:`_convert_matrices`, or ``None`` where the standard decoder could answer otherwise.
+
+    orjson refuses ``NaN``, ``Infinity``, numbers past the float range, lone surrogates and
+    bad JSON, which the standard decoder reads or reports in its own words, and it reads an
+    integer beyond 64 bits as a float.  A matrix that does not convert is walked, and its
+    error message shows the entries as decoded, so it too is left to the standard decoder.
+    """
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    if not isinstance(data, dict):
+        return data
+    if isinstance(data.get("dim"), float):
+        return None
+    holders = [data]
+    for key in ("jumps", "observables"):
+        if isinstance(data.get(key), list):
+            holders += [item for item in data[key] if isinstance(item, dict)]
+    return data if all(map(_convert_matrices, holders)) else None
 
 
 def _load_json(path) -> tuple[dict, int]:
     """The top-level object of a file and its ``dim``, after checking ``dim`` and, when the
-    file gives them, the ``basis_labels``."""
+    file gives them, the ``basis_labels``.
+
+    A file of at most :data:`WHOLE_PARSE_ARRAYS` arrays is decoded whole by orjson.  A larger
+    one, or one :func:`_decode_whole` leaves, goes through ``json.loads`` with
+    :func:`_matrix_hook`, which frees each matrix's lists as its object closes.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        # np.array would read a boolean among numbers as 1 or 0, so then every entry is walked
-        data = json.loads(text, object_hook=None if _has_boolean(text) else _matrix_hook)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert
-        raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
+    # np.array would read a boolean among numbers as 1 or 0, so then every entry is walked
+    booleans = _has_boolean(raw)
+    data = None if booleans or raw.count(b"[") > WHOLE_PARSE_ARRAYS else _decode_whole(raw)
+    if data is None:
+        try:
+            # \r\n and \r read as \n, as text mode reads them, for a message's line and column
+            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text, object_hook=None if booleans else _matrix_hook)
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert
+            raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
     if "dim" not in data:

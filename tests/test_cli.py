@@ -488,6 +488,56 @@ def test_propagate_rejects_comma_label(tls_files, tmp_path, capsys):
     assert "observables[0].label" in err
 
 
+def test_propagate_rejects_a_label_utf8_cannot_encode(tls_files, tmp_path, capsys):
+    """A lone surrogate in a label would end the run in a UnicodeEncodeError at the header."""
+    paths, _ = tls_files
+    obs = tmp_path / "surrogate.json"
+    obs.write_text('{"dim": 2, "observables": [{"label": "S\\ud800z", "matrix": %s}]}' % json.dumps(json_rows(SZ)))
+    out = tmp_path / "out.csv"
+    argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
+            "--observables", str(obs), "--t1", "1", "--steps", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {obs}: observables[0].label must be text UTF-8 can encode")
+    assert not out.exists()
+
+
+THREE_LEVEL_STATE = np.diag([0.5, 0.25, 0.25]).astype(complex)
+
+
+@pytest.mark.parametrize("method", ["vec", "expm-action", "arnoldi", "heisenberg"])
+@pytest.mark.parametrize("option", ["--state", "--observables"])
+def test_propagate_names_an_input_of_another_dimension(tls_files, tmp_path, capsys, method, option):
+    """A 3 x 3 input to a two-level model is one error line naming the option, before any
+    propagation or closure."""
+    paths, _ = tls_files
+    files = {"--state": paths["state"], "--observables": paths["obs"], option: tmp_path / "three.json"}
+    if option == "--state":
+        save_state(files[option], THREE_LEVEL_STATE)
+    else:
+        save_observables(files[option], [("I3", np.eye(3))])
+    out = tmp_path / "out.csv"
+    argv = ["propagate", str(paths["model"]), "--state", str(files["--state"]),
+            "--observables", str(files["--observables"]), "--t1", "1", "--steps", "3",
+            "--method", method, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {option} has dimension 3, but the model has dimension 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, option", [("arnoldi", "--state"), ("heisenberg", "--basis")])
+def test_spectrum_names_an_input_of_another_dimension(tls_files, tmp_path, capsys, method, option):
+    paths, _ = tls_files
+    three = tmp_path / "three.json"
+    if option == "--state":
+        save_state(three, THREE_LEVEL_STATE)
+    else:
+        save_observables(three, [("I3", np.eye(3))])
+    assert main(["spectrum", str(paths["model"]), "--method", method, option, str(three)]) == 2
+    assert capsys.readouterr().err == f"error: {option} has dimension 3, but the model has dimension 2\n"
+
+
 def test_bench_csv_and_slopes(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     assert main(

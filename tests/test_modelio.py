@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lindbladmv import modelio
 from lindbladmv.cli import main
 from lindbladmv.errors import ModelFormatError, ValidationError
 from lindbladmv.modelio import (
@@ -500,3 +502,160 @@ def test_matrix_parse_is_bit_exact(tmp_path, data):
     assert parsed.dtype == complex
     # compare bit patterns, so the sign of a zero counts
     assert np.array_equal(np.ascontiguousarray(parsed).view(np.uint64), reference.view(np.uint64))
+
+
+def _load_by(monkeypatch, cut, loader, path):
+    """``loader(path)`` with ``WHOLE_PARSE_ARRAYS`` set to ``cut``, or its error message."""
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio, "WHOLE_PARSE_ARRAYS", cut)
+        try:
+            return loader(path)
+        except ModelFormatError as exc:
+            return str(exc)
+
+
+def _model_bytes(model) -> list:
+    if isinstance(model, str):
+        return [model]
+    return [model.hamiltonian.tobytes()] + [(np.float64(r).tobytes(), op.tobytes()) for r, op in model.jumps]
+
+
+_SIGN = st.sampled_from(["", "-"])
+_LONG_DECIMALS = st.builds(  # 17 to 40 significant digits, some past the float range
+    lambda sign, lead, rest, exp: f"{sign}{lead}.{rest}e{exp}",
+    _SIGN, st.integers(1, 9), st.text("0123456789", min_size=16, max_size=39), st.integers(-345, 310),
+)
+_NEAR_POWERS = st.builds(  # integers about 2^53, 2^63 and 2^64, where orjson's ints end
+    lambda sign, base, offset: f"{sign}{base + offset}",
+    _SIGN, st.sampled_from([2**53, 2**63, 2**64]), st.integers(-2, 2),
+)
+_LITERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # subnormals and DBL_MAX too
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "5e-324", "-2.2250738585072014e-308",
+                     "1.7976931348623157e308", "1.7976931348623158e+308", "-1.7976931348623159e308"]),
+    _LONG_DECIMALS,
+    _NEAR_POWERS,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_both_decoders_read_the_same_numbers(tmp_path, monkeypatch, data):
+    """orjson's whole parse and the streaming parser give bit-identical matrices and rates,
+    or the same message, and every number reads as ``float()`` reads the number Python's
+    ``json`` makes of it (``-0`` is the integer 0)."""
+    dim = data.draw(st.integers(1, 3))
+    entry = data.draw(st.sampled_from([_LITERALS, st.one_of(_LITERALS, st.sampled_from(["true", "false"]))]))
+    jumps = data.draw(st.lists(
+        st.tuples(
+            _LITERALS.map(lambda s: s.lstrip("-")),
+            st.lists(st.lists(st.lists(entry, min_size=2, max_size=2), min_size=dim, max_size=dim),
+                     min_size=dim, max_size=dim),
+        ),
+        min_size=1, max_size=2,
+    ))
+
+    def text(rows):
+        return "[" + ",".join("[" + ",".join(f"[{re},{im}]" for re, im in row) + "]" for row in rows) + "]"
+
+    zero = text([[("0", "0")] * dim] * dim)
+    items = ",".join(f'{{"rate": {rate}, "matrix": {text(rows)}}}' for rate, rows in jumps)
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"dim": {dim}, "hamiltonian": {zero}, "jumps": [{items}]}}')
+    whole, streamed = (_load_by(monkeypatch, cut, load_model, path) for cut in (modelio.WHOLE_PARSE_ARRAYS, -1))
+    assert _model_bytes(whole) == _model_bytes(streamed)
+    expected = []  # the rate and matrix of each jump, until the first fault's message
+    for k, (rate, rows) in enumerate(jumps):
+        rate = float(json.loads(rate))
+        booleans = [
+            (i, j) for i, row in enumerate(rows) for j, pair in enumerate(row) if {"true", "false"} & set(pair)
+        ]
+        if not booleans:
+            matrix = np.array([[complex(*map(float, map(json.loads, pair))) for pair in row] for row in rows])
+        if not math.isfinite(rate):
+            expected = f"{path}: jumps[{k}].rate must be a finite number"
+        elif booleans:  # true and false are not numbers: the first entry that holds one is named
+            i, j = booleans[0]
+            expected = f"{path}: jumps[{k}].matrix[{i}][{j}]: complex scalars must be [re, im] pairs"
+        elif not np.isfinite(matrix).all():  # a decimal past the float range
+            expected = f"{path}: jumps[{k}].matrix: contains non-finite entries"
+        else:
+            expected.append((rate, matrix))
+            continue
+        break
+    if isinstance(expected, str):
+        assert whole.startswith(expected)
+    else:
+        for (rate, op), (rate_ref, reference) in zip(whole.jumps, expected, strict=True):
+            # compare bit patterns, so the sign of a zero counts
+            assert np.float64(rate).tobytes() == np.float64(rate_ref).tobytes()
+            assert np.ascontiguousarray(op).tobytes() == reference.tobytes()
+
+
+def test_files_at_and_past_the_cut_load_the_same(tmp_path, monkeypatch, rng):
+    """A file of ``WHOLE_PARSE_ARRAYS`` arrays is decoded whole and one more array sends it
+    through the streaming parser, with the same numbers."""
+    n = 4
+    per_item = 1 + n + n * n  # a matrix, its rows and its pairs
+    count = (modelio.WHOLE_PARSE_ARRAYS - 1) // per_item  # and one for the list of items
+    items = [
+        {"label": f"X{k}", "matrix": json_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))}
+        for k in range(count)
+    ]
+    padding = modelio.WHOLE_PARSE_ARRAYS - 1 - count * per_item  # brackets in an unread string
+    decoded = []
+    original = modelio._decode_whole
+    monkeypatch.setattr(modelio, "_decode_whole", lambda raw: decoded.append(len(raw)) or original(raw))
+    loads = []
+    for extra in (0, 1):
+        path = tmp_path / f"at+{extra}.json"
+        path.write_text(json.dumps({"dim": n, "observables": items, "note": "[" * (padding + extra)}))
+        assert path.read_bytes().count(b"[") == modelio.WHOLE_PARSE_ARRAYS + extra
+        loads.append(load_observables(path))
+    assert len(decoded) == 1  # only the file at the cut was decoded whole
+    (at, past) = loads
+    assert [label for label, _ in at] == [label for label, _ in past] == [item["label"] for item in items]
+    for (_, a), (_, b) in zip(at, past):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 18446744073709551616, "matrix": [[[1, 0]]]}', ": expected 18446744073709551616 rows"),
+        ('{"dim": 1, "matrix": [[[NaN, 0]]]}', ": matrix: contains non-finite entries"),
+        ('{"dim": 1, "matrix": [[[1e400, 0]]]}', ": matrix: contains non-finite entries"),
+        (f'{{"dim": 1, "matrix": [[[{2**64 + 1}, 0, 0]]]}}', f"got [{2**64 + 1}, 0, 0]"),
+        ('{"dim": 1, "matrix": [[[1, 0]]], "basis_labels": ["\\ud800"]}', None),
+        ('{"dim": 1, "matrix": [[[1, 0]]]\r\n,}', "line 2 column 2 (char 33)"),
+        ('\ufeff{"dim": 1, "matrix": [[[1, 0]]]}', "Unexpected UTF-8 BOM"),
+    ],
+    ids=["dim-past-64-bits", "nan", "overflow", "int-past-64-bits-in-message", "lone-surrogate", "crlf", "bom"],
+)
+def test_input_orjson_refuses_reads_as_the_standard_decoder_reads_it(tmp_path, monkeypatch, text, message):
+    path = tmp_path / "state.json"
+    path.write_bytes(text.encode("utf-8"))
+    whole, streamed = (_load_by(monkeypatch, cut, load_state, path) for cut in (modelio.WHOLE_PARSE_ARRAYS, -1))
+    if message is None:
+        assert whole.tobytes() == streamed.tobytes()
+    else:
+        assert whole == streamed
+        assert message in whole
+
+
+@pytest.mark.parametrize("save", [False, True])
+def test_label_utf8_cannot_encode_is_rejected(tmp_path, save):
+    """A lone surrogate, which a JSON escape can spell, cannot be written to the CSV header."""
+    path = tmp_path / "obs.json"
+    if save:
+        with pytest.raises(ValidationError, match=r"observables\[0\]\.label must be text UTF-8 can encode"):
+            save_observables(path, [("S\ud800z", SZ)])
+        assert not path.exists()
+        return
+    item = '{"label": "S\\ud800z", "matrix": %s}' % json.dumps(json_rows(SZ))
+    path.write_text('{"dim": 2, "observables": [%s]}' % item)
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_observables(path)
+    assert str(excinfo.value) == (
+        f"{path}: observables[0].label must be text UTF-8 can encode, got 'S\\ud800z'"
+    )
