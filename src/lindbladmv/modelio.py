@@ -9,6 +9,7 @@ number the same float.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
@@ -20,16 +21,10 @@ from .errors import ModelFormatError, ValidationError
 from .linalg import _as_array, _as_float, _is_number, as_square
 from .model import LindbladModel
 
-#: Files of at most this many JSON arrays (``[`` bytes) are decoded whole by orjson, and
-#: larger ones by ``json.loads`` with :func:`_matrix_hook`.  orjson reads a 17-digit float
-#: in about a third of the time, but a whole parse keeps every array alive until it
-#: returns, and in a fresh ``lindbladmv`` process the first full pass of the cyclic garbage
-#: collector falls between 17k and 20k such arrays.  Single loads in fresh processes
-#: (Python 3.11.7, numpy 2.4.6, orjson 3.8.3, one BLAS thread; orjson against the hook):
-#: random n = 32 matrices 5.3k arrays 3.4 against 5.5 ms, 16.9k 9 against 15 ms, 21k 22
-#: against 18 ms; n = 16 matrix units 17.5k arrays 8.3 against 7.4 ms, 19.7k 20 against
-#: 8 ms, 70k 48 against 29 ms.  2**14 stays below the full pass.
-WHOLE_PARSE_ARRAYS = 2**14
+#: orjson 3.8.3 parses nesting recursively and overflows an 8 MB stack past about 140k
+#: levels, which kills the process, so a file nested deeper goes to Python's ``json``.
+_ORJSON_DEPTH = 2**12
+_NOT_NESTING = bytes(range(256)).translate(None, b'[]{}"')
 
 
 def _matrix_to_rows(matrix) -> list:
@@ -92,19 +87,11 @@ def _convert_matrices(obj: dict) -> bool:
     return converted
 
 
-def _matrix_hook(obj: dict) -> dict:
-    """``json.loads``' ``object_hook``: :func:`_convert_matrices` as each object closes, so a
-    matrix's row and pair lists are freed there and the parsed tree never holds them all,
-    which would set off the cyclic garbage collector."""
-    _convert_matrices(obj)
-    return obj
-
-
 def _rows_to_matrix(rows, dim: int, where: str) -> np.ndarray:
-    """Parse ``dim`` rows of ``[re, im]`` pairs, as :func:`_matrix_hook` left them.
+    """Parse ``dim`` rows of ``[re, im]`` pairs, as :func:`_decode_whole` left them.
 
-    Each number converts exactly as ``float()`` converts it; input the hook left as
-    lists is walked entry by entry to name the first bad row or entry.
+    Each number converts exactly as ``float()`` converts it; input left as lists is walked
+    entry by entry to name the first bad row or entry.
     """
     if isinstance(rows, np.ndarray) and rows.shape == (dim, dim, 2):
         out = rows.astype(float).view(complex)[..., 0]
@@ -141,45 +128,57 @@ def _decode_whole(raw: bytes):
     orjson refuses ``NaN``, ``Infinity``, numbers past the float range, lone surrogates and
     bad JSON, which the standard decoder reads or reports in its own words, and it reads an
     integer beyond 64 bits as a float.  A matrix that does not convert is walked, and its
-    error message shows the entries as decoded, so it too is left to the standard decoder.
+    error message shows the entries as decoded, so it too is left to the standard decoder,
+    as is a file nested deeper than :data:`_ORJSON_DEPTH`.
+
+    The cyclic garbage collector is paused until the conversion frees the row and pair lists,
+    since a pass over the whole tree costs more than the parse, and then left as found.
     """
+    if len(raw) > _ORJSON_DEPTH:  # a shorter file cannot nest deeper
+        unescaped = raw.replace(b"\\\\", b"").replace(b'\\"', b"") if b"\\" in raw else raw
+        # the nesting outside strings, each quote left opening or closing one, counted after
+        # the innermost [] pairs (one level): [ and { have bit 1 set, ] and } have not
+        brackets = b"".join(unescaped.translate(None, _NOT_NESTING).split(b'"')[::2])
+        steps = (np.frombuffer(brackets.replace(b"[]", b""), np.int8) & 2) - 1
+        if 1 + np.cumsum(steps).max(initial=0) > _ORJSON_DEPTH:
+            return None
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         data = orjson.loads(raw)
+        if not isinstance(data, dict):
+            return data
+        if isinstance(data.get("dim"), float):
+            return None
+        holders = [data]
+        for key in ("jumps", "observables"):
+            if isinstance(data.get(key), list):
+                holders += [item for item in data[key] if isinstance(item, dict)]
+        return data if all(map(_convert_matrices, holders)) else None
     except orjson.JSONDecodeError:
         return None
-    if not isinstance(data, dict):
-        return data
-    if isinstance(data.get("dim"), float):
-        return None
-    holders = [data]
-    for key in ("jumps", "observables"):
-        if isinstance(data.get(key), list):
-            holders += [item for item in data[key] if isinstance(item, dict)]
-    return data if all(map(_convert_matrices, holders)) else None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_json(path) -> tuple[dict, int]:
     """The top-level object of a file and its ``dim``, after checking ``dim`` and, when the
-    file gives them, the ``basis_labels``.
-
-    A file of at most :data:`WHOLE_PARSE_ARRAYS` arrays is decoded whole by orjson.  A larger
-    one, or one :func:`_decode_whole` leaves, goes through ``json.loads`` with
-    :func:`_matrix_hook`, which frees each matrix's lists as its object closes.
-    """
+    file gives them, the ``basis_labels``; a file that holds ``true`` or ``false``, or one
+    :func:`_decode_whole` leaves, goes through ``json.loads``, its matrices walked entry by entry."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
     # np.array would read a boolean among numbers as 1 or 0, so then every entry is walked
-    booleans = _has_boolean(raw)
-    data = None if booleans or raw.count(b"[") > WHOLE_PARSE_ARRAYS else _decode_whole(raw)
+    data = None if _has_boolean(raw) else _decode_whole(raw)
     if data is None:
         try:
             # \r\n and \r read as \n, as text mode reads them, for a message's line and column
             text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            data = json.loads(text, object_hook=None if booleans else _matrix_hook)
-        except ValueError as exc:  # bad JSON, bad UTF-8, an int too long to convert
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an int, too deep
             raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelFormatError(f"{path}: top level must be an object")

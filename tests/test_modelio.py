@@ -2,9 +2,12 @@ import gc
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -504,10 +507,11 @@ def test_matrix_parse_is_bit_exact(tmp_path, data):
     assert np.array_equal(np.ascontiguousarray(parsed).view(np.uint64), reference.view(np.uint64))
 
 
-def _load_by(monkeypatch, cut, loader, path):
-    """``loader(path)`` with ``WHOLE_PARSE_ARRAYS`` set to ``cut``, or its error message."""
+def _load_by(monkeypatch, whole, loader, path):
+    """``loader(path)``, or its error message; unless ``whole``, through the standard decoder."""
     with monkeypatch.context() as patch:
-        patch.setattr(modelio, "WHOLE_PARSE_ARRAYS", cut)
+        if not whole:
+            patch.setattr(modelio, "_decode_whole", lambda raw: None)
         try:
             return loader(path)
         except ModelFormatError as exc:
@@ -562,7 +566,7 @@ def test_both_decoders_read_the_same_numbers(tmp_path, monkeypatch, data):
     items = ",".join(f'{{"rate": {rate}, "matrix": {text(rows)}}}' for rate, rows in jumps)
     path = tmp_path / "model.json"
     path.write_text(f'{{"dim": {dim}, "hamiltonian": {zero}, "jumps": [{items}]}}')
-    whole, streamed = (_load_by(monkeypatch, cut, load_model, path) for cut in (modelio.WHOLE_PARSE_ARRAYS, -1))
+    whole, streamed = (_load_by(monkeypatch, whole, load_model, path) for whole in (True, False))
     assert _model_bytes(whole) == _model_bytes(streamed)
     expected = []  # the rate and matrix of each jump, until the first fault's message
     for k, (rate, rows) in enumerate(jumps):
@@ -593,30 +597,28 @@ def test_both_decoders_read_the_same_numbers(tmp_path, monkeypatch, data):
 
 
 def test_files_at_and_past_the_cut_load_the_same(tmp_path, monkeypatch, rng):
-    """A file of ``WHOLE_PARSE_ARRAYS`` arrays is decoded whole and one more array sends it
-    through the streaming parser, with the same numbers."""
-    n = 4
+    """Files of 2**14 arrays and of one more are decoded whole, with the numbers the
+    standard decoder reads."""
+    arrays, n = 2**14, 4
     per_item = 1 + n + n * n  # a matrix, its rows and its pairs
-    count = (modelio.WHOLE_PARSE_ARRAYS - 1) // per_item  # and one for the list of items
+    count = (arrays - 1) // per_item  # and one for the list of items
     items = [
         {"label": f"X{k}", "matrix": json_rows(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))}
         for k in range(count)
     ]
-    padding = modelio.WHOLE_PARSE_ARRAYS - 1 - count * per_item  # brackets in an unread string
+    padding = arrays - 1 - count * per_item  # brackets in an unread string
     decoded = []
     original = modelio._decode_whole
     monkeypatch.setattr(modelio, "_decode_whole", lambda raw: decoded.append(len(raw)) or original(raw))
-    loads = []
     for extra in (0, 1):
         path = tmp_path / f"at+{extra}.json"
         path.write_text(json.dumps({"dim": n, "observables": items, "note": "[" * (padding + extra)}))
-        assert path.read_bytes().count(b"[") == modelio.WHOLE_PARSE_ARRAYS + extra
-        loads.append(load_observables(path))
-    assert len(decoded) == 1  # only the file at the cut was decoded whole
-    (at, past) = loads
-    assert [label for label, _ in at] == [label for label, _ in past] == [item["label"] for item in items]
-    for (_, a), (_, b) in zip(at, past):
-        assert a.tobytes() == b.tobytes()
+        assert path.read_bytes().count(b"[") == arrays + extra
+        whole, streamed = (_load_by(monkeypatch, whole, load_observables, path) for whole in (True, False))
+        assert [label for label, _ in whole] == [label for label, _ in streamed] == [item["label"] for item in items]
+        for (_, a), (_, b) in zip(whole, streamed):
+            assert a.tobytes() == b.tobytes()
+    assert len(decoded) == 2  # each file was decoded whole once
 
 
 @pytest.mark.parametrize(
@@ -635,12 +637,96 @@ def test_files_at_and_past_the_cut_load_the_same(tmp_path, monkeypatch, rng):
 def test_input_orjson_refuses_reads_as_the_standard_decoder_reads_it(tmp_path, monkeypatch, text, message):
     path = tmp_path / "state.json"
     path.write_bytes(text.encode("utf-8"))
-    whole, streamed = (_load_by(monkeypatch, cut, load_state, path) for cut in (modelio.WHOLE_PARSE_ARRAYS, -1))
+    whole, streamed = (_load_by(monkeypatch, whole, load_state, path) for whole in (True, False))
     if message is None:
         assert whole.tobytes() == streamed.tobytes()
     else:
         assert whole == streamed
         assert message in whole
+
+
+def _deep_state(depth: int, opening: str = "[", closing: str = "]") -> str:
+    """A state file whose matrix entry is nested ``depth`` levels deep."""
+    return '{"dim": 1, "matrix": ' + opening * depth + "[0, 0]" + closing * depth + "}"
+
+
+@pytest.mark.parametrize("depth", [1010, 5000])
+def test_nesting_past_the_recursion_limit_is_one_format_error(tmp_path, capsys, depth):
+    """orjson reads 1010 levels, the matrix does not convert and the standard decoder
+    recurses; 5000 levels go to the standard decoder at once.  Either way the file is one
+    format error, also at the command line, and no ``RecursionError`` escapes."""
+    path = tmp_path / "state.json"
+    path.write_text(_deep_state(depth))
+    try:
+        json.loads(_deep_state(depth))
+        message = r": matrix\[0\]\[0\]: complex scalars must be \[re, im\] pairs"
+    except RecursionError:  # past the nesting this interpreter's json reads
+        message = " is not valid JSON: maximum recursion depth exceeded"
+    with pytest.raises(ModelFormatError, match=re.escape(str(path)) + message):
+        load_state(path)
+    assert main(["spectrum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["arrays", "objects"])
+def test_nesting_orjson_cannot_parse_is_one_format_error(tmp_path, opening, closing):
+    """200k levels overflow orjson's recursive parse, which would kill the process, so the
+    file goes to the standard decoder, which refuses it in one error line."""
+    path = tmp_path / "state.json"
+    path.write_text(_deep_state(200_000, opening, closing))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindbladmv.cli", "spectrum", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path} is not valid JSON: maximum recursion depth exceeded")
+    assert proc.stderr.count("\n") == 1
+
+
+_HEAD = '{"dim": 1, "matrix": [[[1, 0]]], '
+
+
+@pytest.mark.parametrize(
+    "text, whole",
+    [
+        (_HEAD + '"note": "' + "[" * 5000 + '"}', True),
+        (_HEAD + '"note": "\\"' + "[" * 5000 + '"}', True),
+        (_HEAD + '"deep": ' + "[" * 4000 + "]" * 4000 + "}", True),
+        (_HEAD + '"note": "' + "]" * 5000 + '", "deep": ' + "[" * 5000 + "]" * 5000 + "}", False),
+        (_HEAD + '"note": "\\\\", "deep": ' + "[" * 5000 + "]" * 5000 + "}", False),
+    ],
+    ids=["brackets-in-a-string", "after-an-escaped-quote", "4000-deep", "after-closers-in-a-string",
+         "after-an-escaped-backslash"],
+)
+def test_only_nesting_outside_strings_keeps_a_file_from_orjson(text, whole):
+    """Brackets in strings are not nesting, whatever a string holds before them."""
+    orjson.loads(text)  # valid JSON
+    assert (modelio._decode_whole(text.encode()) is not None) == whole
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_loading_leaves_the_collector_as_it_was(tmp_path, enabled):
+    """The pause of the cyclic garbage collector ends with the state it found, whichever
+    way a load ends: a valid file, a NaN orjson refuses, bad JSON and a 1010-deep file."""
+    files = {
+        "valid": '{"dim": 1, "matrix": [[[1, 0]]]}',
+        "nan": '{"dim": 1, "matrix": [[[NaN, 0]]]}',
+        "invalid": '{"dim": 1, "matrix": [[[1, 0]]],}',
+        "deep": _deep_state(1010),
+    }
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for name, text in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            if name == "valid":
+                load_state(path)
+            else:
+                with pytest.raises(ModelFormatError):
+                    load_state(path)
+            assert gc.isenabled() == enabled, name
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("save", [False, True])
