@@ -135,7 +135,7 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
     order = np.argsort(labels, kind="stable")
     clusters = []
     for members in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        diameter = distances[np.ix_(members, members)].max() if len(members) > 1 else 0.0
+        diameter = distances[members[:, None], members].max()
         center = complex(values[members].mean())
         clusters.append(EigenvalueCluster(center, tuple(members.tolist()), float(diameter)))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))

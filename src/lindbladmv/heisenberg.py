@@ -110,8 +110,8 @@ def close_set(model: LindbladModel, basis) -> AdjointRep:
     ``CLOSURE_ROUNDOFF * eps * nu * ||X_k||_F``.
     """
     ops = _operator_stack(basis, model.dim)
-    size, op = len(ops), model.operator
-    coords, images = to_hermitian_basis(ops), to_hermitian_basis(op.apply_adjoint(ops))
+    size, op = len(ops), model.operator.adjoint
+    coords, images = to_hermitian_basis(ops), to_hermitian_basis(op.apply(ops))
     order, partner = np.arange(size), _adjoint_partners(coords)
     if partner is None:  # complex rows, each member its own
         rows, row_images, partner = coords, images, order

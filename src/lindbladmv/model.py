@@ -1,10 +1,11 @@
 """Physical model layer: Hamiltonian, jump operators, density matrices.
 
-The generator and its adjoint are applied directly as matrix-matrix
-operations (no superoperator matrix is formed here) through one
-:class:`LiouvilleOperator` per model; the coordinates of matrices on the
-Hermitian basis are defined here too.  The dense vectorized representation,
-and with it column stacking, lives in :mod:`lindbladmv.vectorized`.
+The generator is applied directly as matrix-matrix operations (no
+superoperator matrix is formed here) by one :class:`LiouvilleOperator` per
+model, and its adjoint by the same class on swapped data; the coordinates of
+matrices on the Hermitian basis are defined here too.  The dense vectorized
+representation, and with it column stacking, lives in
+:mod:`lindbladmv.vectorized`.
 """
 
 from __future__ import annotations
@@ -75,21 +76,29 @@ class LindbladModel:
 
     @cached_property
     def operator(self) -> "LiouvilleOperator":
-        """The model's matrix-free generator, built on first use and kept."""
-        return LiouvilleOperator(self)
+        """The model's matrix-free generator, built on first use and kept: zero rates
+        dropped, ``L_k = sqrt(g_k) A_k`` and ``H_eff = H - (i/2) sum_k L_k^dag L_k``."""
+        h_eff, jumps = self.hamiltonian, []
+        for rate, op in self.jumps:
+            if rate != 0.0:
+                scaled = np.sqrt(rate) * op
+                scaled_dag = scaled.conj().T  # a view, so the adjoint's norm_bound is the same
+                h_eff = h_eff - 0.5j * (scaled_dag @ scaled)
+                jumps.append((scaled, scaled_dag))
+        return LiouvilleOperator(h_eff, jumps)
 
 
 class LiouvilleOperator:
-    """The generator applied matrix-free, as products of ``n x n`` matrices.
+    """Matrix-free generator ``L rho = -i(H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag``.
 
-    With ``L_k = sqrt(g_k) A_k`` and ``H_eff = H - (i/2) sum_k L_k^dag L_k``
-    (both precomputed), the generator is
-    ``L rho = -i(H_eff rho - rho H_eff^dag) + sum_k L_k rho L_k^dag`` and its
-    adjoint ``L^dag X = i(H_eff^dag X - X H_eff) + sum_k L_k^dag X L_k``:
-    ``2 + 2K`` matrix products per application, and the ``n^4`` entries of
-    the superoperator matrix are never formed.  :meth:`apply` and
-    :meth:`apply_adjoint` act on an ``n x n`` matrix or a ``(k, n, n)``
-    stack, matrix by matrix.  No method validates its input; callers check
+    Built from ``H_eff`` and the pairs ``(L_k, L_k^dag)``.  One routine forms
+    the products for an ``n x n`` matrix or a ``(k, n, n)`` stack ``rho``: one
+    with ``[-2i H_eff; L_1; ...; L_K]``, rows interleaved so that it reads as
+    ``[-2i H_eff rho, L_1 rho, ..., L_K rho]`` uncopied, and one ``n x Kn`` by
+    ``Kn x n`` product that sums ``L_k rho L_k^dag``; the superoperator matrix
+    is never formed.  :meth:`apply` and :meth:`matvec` read the generator off
+    them.  :attr:`adjoint` is the same class built from ``-H_eff^dag`` and the
+    pairs ``(L_k^dag, L_k)``.  No method validates its input; callers check
     shapes at the API boundary.
 
     ``norm_bound`` is ``nu = 2 ||H_eff||_F + sum_k ||L_k||_F^2``, which
@@ -101,59 +110,49 @@ class LiouvilleOperator:
 
     dtype = float
 
-    def __init__(self, model: LindbladModel):
-        self.dim = model.dim
-        jumps = []
-        h_eff = model.hamiltonian
-        for rate, op in model.jumps:
-            if rate == 0.0:
-                continue
-            scaled = np.sqrt(rate) * op
-            scaled_dag = np.ascontiguousarray(scaled.conj().T)
-            h_eff = h_eff - 0.5j * (scaled_dag @ scaled)
-            jumps.append((scaled, scaled_dag))
-        self.h_eff = h_eff
-        self.h_eff_dag = np.ascontiguousarray(h_eff.conj().T)
-        self.jumps = tuple(jumps)
+    def __init__(self, h_eff: np.ndarray, jumps):
+        self.h_eff, self.jumps, self.dim = h_eff, tuple(jumps), h_eff.shape[0]
         self.norm_bound = float(
-            2.0 * np.linalg.norm(h_eff) + sum(np.linalg.norm(s) ** 2 for s, _ in jumps)
+            2.0 * np.linalg.norm(h_eff) + sum(np.linalg.norm(s) ** 2 for s, _ in self.jumps)
         )
         self.shape = (self.dim**2, self.dim**2)
-        self._stacked = np.concatenate([-2j * h_eff] + [s for s, _ in jumps])
-        self._jumps_dag = np.reshape([d for _, d in jumps], (-1, self.dim))  # (0, n) when K = 0
+        factors = np.concatenate([-2j * h_eff] + [s for s, _ in self.jumps], axis=1)
+        self._stacked = factors.reshape(-1, self.dim)  # row a of each factor in turn
+        self._jumps_dag = np.reshape([d for _, d in self.jumps], (-1, self.dim))  # (0, n) when K = 0
+        self._i_h_eff_dag = 1j * h_eff.conj().T
+
+    @cached_property
+    def adjoint(self) -> "LiouvilleOperator":
+        """The adjoint (Heisenberg-picture) generator, built on first use and kept:
+        ``L^dag X = i(H_eff^dag X - X H_eff) + sum_k L_k^dag X L_k``."""
+        return LiouvilleOperator(-self.h_eff.conj().T, [(d, s) for s, d in self.jumps])
+
+    def _products(self, rho: np.ndarray):
+        """``(-2i H_eff rho, sum_k L_k rho L_k^dag)`` for a matrix or a stack ``rho``."""
+        n = self.dim
+        products = (self._stacked @ rho).reshape(rho.shape[:-2] + (n, -1))
+        return products[..., :n], products[..., n:] @ self._jumps_dag
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The generator on an ``n x n`` matrix or a stack."""
-        out = -1j * (self.h_eff @ rho - rho @ self.h_eff_dag)
-        for scaled, scaled_dag in self.jumps:
-            out += scaled @ rho @ scaled_dag
-        return out
-
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint (Heisenberg-picture) generator on an ``n x n`` matrix or a stack."""
-        out = 1j * (self.h_eff_dag @ x - x @ self.h_eff)
-        for scaled, scaled_dag in self.jumps:
-            out += scaled_dag @ x @ scaled
+        first, out = self._products(rho)
+        out += 0.5 * first
+        out += rho @ self._i_h_eff_dag
         return out
 
     def matvec(self, r: np.ndarray) -> np.ndarray:
         """The generator on the coordinates ``r`` of :func:`to_hermitian_basis`, in their type.
 
-        Real coordinates are those of an exactly Hermitian ``M``; one product
-        stacks ``[-2i H_eff; L_1; ...; L_K] @ M`` and one ``n x Kn`` by
-        ``Kn x n`` product sums ``L_k M L_k^dag``.  For a Hermitian ``M`` the
-        Hamiltonian part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian
-        part of ``-2i X``, so the real part of the sum's coordinates, which
-        are those of its Hermitian part, gives the coordinates of the image.
-        Complex coordinates go through :meth:`apply`.
+        Real coordinates are those of an exactly Hermitian ``M``, for which the
+        Hamiltonian part ``-i(X - X^dag)``, ``X = H_eff M``, is the Hermitian part
+        of ``-2i X``: the real part of the coordinates of the two products' sum,
+        those of its Hermitian part, are the image's.  Complex coordinates go
+        through :meth:`apply`.
         """
         if r.dtype.kind == "c":
             return to_hermitian_basis(self.apply(from_hermitian_basis(r)))
-        n = self.dim
-        products = self._stacked @ from_hermitian_basis(r)
-        blocks = products[n:].reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)
-        image = products[:n] + blocks @ self._jumps_dag
-        return np.ascontiguousarray(to_hermitian_basis(image).real)
+        first, jumps = self._products(from_hermitian_basis(r))
+        return np.ascontiguousarray(to_hermitian_basis(first + jumps).real)
 
 
 @cache
@@ -291,7 +290,7 @@ def apply_adjoint(model: LindbladModel, observable) -> np.ndarray:
     ``+i[H, X] + sum_i g_i (A^dag X A - {A^dag A, X}/2)``; the identity is a
     fixed point.
     """
-    return model.operator.apply_adjoint(as_square(observable, "observable", model.dim))
+    return model.operator.adjoint.apply(as_square(observable, "observable", model.dim))
 
 
 def duality_check(model: LindbladModel, rho, observable) -> tuple[complex, complex]:

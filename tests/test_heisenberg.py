@@ -17,6 +17,7 @@ from lindbladmv.heisenberg import (
     expectations,
     propagate_expectations,
 )
+from lindbladmv.linalg import EPS, arnoldi_iteration
 from lindbladmv.model import (
     LindbladModel,
     apply_adjoint,
@@ -217,6 +218,40 @@ class TestRealRoute:
         outside = np.linalg.norm(np.diag(np.diag(image))) / np.linalg.norm(image)
         assert excinfo.value.index == 0
         assert excinfo.value.residual == pytest.approx(outside, rel=1e-12)
+
+
+class TestKrylovClosures:
+    """Arnoldi on the adjoint from one observable, in real coordinates: the Krylov
+    space is the smallest closed set that holds it, and the breakdown gives its size."""
+
+    @staticmethod
+    def krylov_closure(model, x):
+        r = to_hermitian_basis(x).real
+        apply = model.operator.adjoint.matvec
+        basis, hess, breakdown, _ = arnoldi_iteration(apply, r / np.linalg.norm(r), len(r))
+        assert breakdown == len(basis) - 1
+        return basis, hess[: len(basis)]
+
+    @staticmethod
+    def kerr_oscillator(n):
+        a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+        number = a.conj().T @ a
+        return LindbladModel(number + 0.05 * number @ number, ((0.3, a), (0.05, number))), a
+
+    def test_sz_closes_into_the_bloch_equations(self):
+        basis, _ = self.krylov_closure(build_tls(TLSParams(0.3, 0.7, 1.0)), SZ)
+        assert len(basis) == 4
+
+    def test_number_operator_is_an_eigenoperator(self):
+        model, a = self.kerr_oscillator(16)
+        basis, hess = self.krylov_closure(model, a.conj().T @ a)
+        assert len(basis) == 1
+        assert abs(hess[0, 0] + 0.3) <= 8 * EPS * model.operator.norm_bound
+
+    def test_position_closes_in_its_sector(self):
+        model, a = self.kerr_oscillator(16)
+        basis, _ = self.krylov_closure(model, a + a.conj().T)
+        assert len(basis) == 2 * 16 - 2
 
 
 class TestExpectations:

@@ -19,6 +19,7 @@ from lindbladmv.model import (
     validate_state,
 )
 from lindbladmv.tls import EXCITED, GROUND, IDENTITY, SX, SY, SZ, TLSParams, build_tls
+from lindbladmv.vectorized import build_superoperator, hermitian_matrix, unvec, vec
 
 from conftest import random_hermitian
 
@@ -312,3 +313,42 @@ def test_hermitian_view_on_complex_coordinates(seed, n, n_jumps):
     assert image.dtype == complex
     expected = to_hermitian_basis(operator.apply(from_hermitian_basis(r)))
     assert np.linalg.norm(image - expected) <= 1e-13 * operator.norm_bound * np.linalg.norm(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    n_jumps=st.integers(0, 3),
+    dropped=st.integers(0, 3),
+    k=st.integers(1, 3),
+)
+def test_one_kernel_matches_the_dense_matrix_in_both_pictures(seed, n, n_jumps, dropped, k):
+    rng = np.random.default_rng(seed)
+    drawn = random_model(rng, n, n_jumps=n_jumps)
+    rates = [0.0 if i < dropped else rate for i, (rate, _) in enumerate(drawn.jumps)]
+    model = LindbladModel(drawn.hamiltonian, tuple(zip(rates, (op for _, op in drawn.jumps))))
+    operator = model.operator
+    superop = build_superoperator(model)
+    s, a = superop.matrix, hermitian_matrix(superop)
+    nu = operator.norm_bound
+    # round-off relative to nu ||rho||_F: at most 0.74 eps on 400 seeded draws with n = 1 to 6
+    bound = 8 * EPS * nu
+    rhos = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    for kernel, matrix in ((operator, s), (operator.adjoint, s.conj().T)):
+        images = kernel.apply(rhos)
+        for rho, image in zip(rhos, images):
+            expected = unvec(matrix @ vec(rho), n)
+            assert np.linalg.norm(image - expected) <= bound * np.linalg.norm(rho)
+    r = rng.normal(size=n * n)
+    for coords in (r, r + 1j * rng.normal(size=n * n)):
+        for kernel, matrix in ((operator, a), (operator.adjoint, a.T)):
+            image = kernel.matvec(coords)
+            assert image.dtype == coords.dtype
+            assert np.linalg.norm(image - matrix @ coords) <= bound * np.linalg.norm(coords)
+    assert operator.adjoint.norm_bound == nu
+    back = operator.adjoint.adjoint
+    assert back.h_eff.tobytes() == operator.h_eff.tobytes()
+    assert len(back.jumps) == len(operator.jumps) == n_jumps - min(dropped, n_jumps)
+    for pair, original in zip(back.jumps, operator.jumps):
+        assert [x.tobytes() for x in pair] == [x.tobytes() for x in original]
