@@ -132,10 +132,11 @@ def detect_degeneracy(superop: Superoperator, cluster_tol: float) -> DegeneracyR
         labels = lowest
         lowest = np.where(within, labels, count).min(axis=1)
         lowest = lowest[lowest]
+    farthest = np.where(labels[:, None] == labels, distances, 0.0).max(axis=1)  # in one's cluster
     order = np.argsort(labels, kind="stable")
     clusters = []
     for members in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        diameter = distances[members[:, None], members].max()
+        diameter = farthest[members].max()
         center = complex(values[members].mean())
         clusters.append(EigenvalueCluster(center, tuple(members.tolist()), float(diameter)))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))

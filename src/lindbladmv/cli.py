@@ -17,6 +17,7 @@ import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import analysis, arnoldi, heisenberg, modelio, tls, vectorized
 from .errors import NumericalError, ValidationError
@@ -29,8 +30,23 @@ EXIT_NUMERICAL = 3
 
 
 def _csv_lines(table: np.ndarray) -> list:
-    """One line per row of a float ``table``: the ``repr`` of each entry, comma-separated."""
-    return [",".join(map(repr, row)) for row in table.tolist()]
+    """One line per row of a float ``table``: the ``repr`` of each entry, comma-separated.
+
+    orjson writes every cell in the shortest spelling that reads back to the same float, the
+    digits ``repr`` writes. The two spell a cell differently only when it is not finite
+    (``null``), non-zero below ``1e-4`` (``0.00001`` for ``1e-05``) or at least ``1e16``
+    (``1e16`` for ``1e+16``); ``repr`` spells those cells, and the rest of their row stays.
+    """
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    lines = text[2:-2].split("],[") if len(table) else []
+    size = np.abs(table)
+    respell = ~((size >= 1e-4) & (size < 1e16) | (table == 0.0))  # a NaN fails every test
+    for i in np.flatnonzero(respell.any(axis=1)):
+        cells = lines[i].split(",")
+        for j in np.flatnonzero(respell[i]):
+            cells[j] = repr(float(table[i, j]))
+        lines[i] = ",".join(cells)
+    return lines
 
 
 def _emit(text: str, out_path) -> None:

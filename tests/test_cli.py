@@ -5,11 +5,14 @@ import subprocess
 import sys
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lindbladmv.cli import build_parser, main
+from lindbladmv.cli import _csv_lines, build_parser, main
 from lindbladmv.model import LindbladModel, random_density, random_model
 from lindbladmv.modelio import save_model, save_observables, save_state
 from lindbladmv.tls import (
@@ -673,19 +676,22 @@ def test_tables_print_the_repr_of_every_cell(tls_files, capsys, monkeypatch):
     import lindbladmv.cli as cli
 
     paths, _ = tls_files
-    rows = np.array([[complex(-0.0, -0.0), -0.25 + 1e-17j], [np.pi + 2.0j, 3.0 - 0.125j]])
+    # the last row holds cells that orjson spells otherwise: below 1e-4, from 1e16 up, infinite
+    edge = [complex(1e-5, -1e16), complex(np.nextafter(1e-4, 0.0), -np.inf)]
+    rows = np.array([[complex(-0.0, -0.0), -0.25 + 1e-17j], [np.pi + 2.0j, 3.0 - 0.125j], edge])
     monkeypatch.setattr(cli, "_trajectory_rows", lambda *a: (["a", "b"], rows))
     argv = ["propagate", str(paths["model"]), "--state", str(paths["state"]),
-            "--observables", str(paths["obs"]), "--t0", "0.5", "--t1", "1", "--steps", "2"]
+            "--observables", str(paths["obs"]), "--t0", "0.5", "--t1", "1", "--steps", "3"]
     assert main(argv) == 0
     expected = ["t,a_re,a_im,b_re,b_im"]
-    for t, row in zip([0.5, 1.0], rows):
+    for t, row in zip([0.5, 0.75, 1.0], rows):
         cells = [repr(float(t))]
         for z in row:
             cells += [repr(float(z.real)), repr(float(z.imag))]
         expected.append(",".join(cells))
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
     assert "-0.0,-0.0" in expected[1]
+    assert expected[3] == "1.0,1e-05,-1e+16,9.999999999999999e-05,-inf"
 
     values = rows.reshape(-1)
     monkeypatch.setattr(cli, "eigvals", lambda m: values)
@@ -693,6 +699,21 @@ def test_tables_print_the_repr_of_every_cell(tls_files, capsys, monkeypatch):
     ordered = sorted(values, key=lambda z: (z.real, z.imag))
     expected = [f"{float(z.real)!r},{float(z.imag)!r}" for z in ordered]
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+# cells where orjson and repr part ways, their neighbours, and every other kind of float
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e-4, -1e-4,
+                1e16, -1e16, 1.0, 0.1]
+_EDGE_FLOATS += [float(np.nextafter(x, to)) for x in (1e-4, 1e16) for to in (0.0, np.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                  elements=st.sampled_from(_EDGE_FLOATS) | st.floats()))
+@example(np.array(_EDGE_FLOATS).reshape(-1, 1))
+@example(np.zeros((0, 3)))
+def test_csv_lines_are_the_repr_of_every_cell(table):
+    assert _csv_lines(table) == [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def test_parser_built_once():
